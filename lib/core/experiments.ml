@@ -412,7 +412,7 @@ let grouping_ablation ctx =
       (Power.analyze
          ~vdd:(fun cid -> if domains.(cid) <= 3 then high else low)
          ~activity:(Flow.activity t)
-         ~wire_length:(fun nid -> Placement.wire_length (Flow.placement t) nid)
+         ~wire_length:(Array.get (Flow.wires t))
          ~clock_ns:(Flow.clock t) (Flow.netlist t))
         .Power.total
   in
@@ -651,7 +651,7 @@ let power_integrity ctx =
     Power.analyze
       ~vdd:(fun _ -> high)
       ~activity:(Flow.activity t)
-      ~wire_length:(fun nid -> Placement.wire_length (Flow.placement t) nid)
+      ~wire_length:(Array.get (Flow.wires t))
       ~clock_ns:(Flow.clock t) (Flow.netlist t)
   in
   let current_ma cid =
@@ -744,7 +744,7 @@ let workload_sensitivity ctx =
              ~lgate_nm:(fun i -> systematic.(i))
              ~vdd:(fun _ -> high)
              ~activity:act_base
-             ~wire_length:(fun nid -> Placement.wire_length (Flow.placement t) nid)
+             ~wire_length:(Array.get (Flow.wires t))
              ~clock_ns:(Flow.clock t) (Flow.netlist t))
             .Power.total
       in
@@ -758,8 +758,7 @@ let workload_sensitivity ctx =
              ~lgate_nm:(fun i -> systematic_sh.(i))
              ~vdd:(fun cid -> Level_shifter.vdd_assignment shifted ~raised:1 cid)
              ~activity:act_shifted
-             ~wire_length:(fun nid ->
-               Placement.wire_length shifted.Level_shifter.placement nid)
+             ~wire_length:(Array.get v.Flow.wires_shifted)
              ~clock_ns:(Flow.clock t) shifted.Level_shifter.netlist)
             .Power.total
       in

@@ -70,6 +70,7 @@ type variant = {
   slicing : Slicing.outcome;
   shifted : Level_shifter.t;
   sta_shifted : Sta.t;
+  wires_shifted : float array;
   post_ls_worst : float;
   degradation : float;
   activity_shifted : Gatesim.activity;
@@ -91,6 +92,7 @@ type t = {
   graph : Sg.graph;
   design_n : Vex_core.t Sg.node;
   placement0_n : Placement.t Sg.node;
+  wires_n : float array Sg.node;
   sizing_n : Sizing.report Sg.node;
   netlist_n : Netlist.t Sg.node;
   placement_n : Placement.t Sg.node;
@@ -139,13 +141,20 @@ let prepare ?(config = default_config) () =
         Placer.place ~iterations:config.place_iterations
           ~seed:config.place_seed nl0 fp)
   in
-  (* Wire-length estimates and the capture-stage map are shared by every
-     timing stage; both resolve their stage-graph inputs lazily. *)
-  let wire nid = Placement.wire_length (Sg.get placement0_n) nid in
-  let capture cell = (Sg.get design_n).Vex_core.capture_stage cell in
+  (* Routed-length estimate of every net on the initial placement.
+     Sizing only remaps cells, keeping the nets, and "placed" moves no
+     cell, so this one table serves every stage timed on that placement.
+     Stages resolve it (and the design's capture map) once, on entry. *)
+  let wires_n =
+    Sg.node g ~name:"wires" ~deps:[ "placement" ] (fun () ->
+        Placement.wire_lengths (Sg.get placement0_n))
+  in
   let sizing_n =
-    Sg.node g ~name:"sizing" ~deps:[ "design"; "placement" ] (fun () ->
-        let nl0 = (Sg.get design_n).Vex_core.netlist in
+    Sg.node g ~name:"sizing" ~deps:[ "design"; "wires" ] (fun () ->
+        let design = Sg.get design_n in
+        let nl0 = design.Vex_core.netlist in
+        let wire = Array.get (Sg.get wires_n) in
+        let capture = design.Vex_core.capture_stage in
         let sta0 = Sta.build nl0 ~wire_length:wire ~capture in
         let r0 = Sta.analyze sta0 ~delays:(Sta.nominal_delays sta0) in
         let initial_clock =
@@ -165,8 +174,10 @@ let prepare ?(config = default_config) () =
         { (Sg.get placement0_n) with Placement.netlist = Sg.get netlist_n })
   in
   let sta_n =
-    Sg.node g ~name:"sta" ~deps:[ "netlist"; "placement"; "design" ] (fun () ->
-        Sta.build (Sg.get netlist_n) ~wire_length:wire ~capture)
+    Sg.node g ~name:"sta" ~deps:[ "netlist"; "wires"; "design" ] (fun () ->
+        Sta.build (Sg.get netlist_n)
+          ~wire_length:(Array.get (Sg.get wires_n))
+          ~capture:(Sg.get design_n).Vex_core.capture_stage)
   in
   let nominal_n =
     Sg.node g ~name:"timing" ~deps:[ "sta" ] (fun () ->
@@ -237,19 +248,23 @@ let prepare ?(config = default_config) () =
     Sg.keyed g ~name:"shifters"
       ~deps:(fun d ->
         [ "islands[" ^ Island.direction_name d ^ "]"; "netlist"; "placed";
-          "clock"; "fir" ])
+          "clock"; "fir"; "design" ])
       ~key_label:Island.direction_name
       (fun direction ->
         let slicing = Sg.get_keyed islands_k direction in
         let netlist = Sg.get netlist_n in
         let placement = Sg.get placement_n in
         let clock = Sg.get clock_n in
+        let capture = (Sg.get design_n).Vex_core.capture_stage in
         let shifted =
           Level_shifter.insert slicing.Slicing.partition placement netlist
         in
-        let wire nid =
-          Placement.wire_length shifted.Level_shifter.placement nid
+        (* Closure only remaps cells, so these lengths hold for the
+           closed netlist too. *)
+        let wires_shifted =
+          Placement.wire_lengths shifted.Level_shifter.placement
         in
+        let wire = Array.get wires_shifted in
         (* Fig. 1's final step: incremental placement (done inside the
            insertion) and timing closure — upsizing recovers the paths
            that shifter insertion and cell displacement stretched.
@@ -294,6 +309,7 @@ let prepare ?(config = default_config) () =
           slicing;
           shifted;
           sta_shifted;
+          wires_shifted;
           post_ls_worst = r.Sta.worst;
           degradation = (r.Sta.worst -. clock) /. clock;
           activity_shifted;
@@ -315,7 +331,7 @@ let prepare ?(config = default_config) () =
       ~deps:(fun (cfg, _) ->
         match cfg with
         | Baseline_low | Chip_wide_high ->
-          [ "netlist"; "placed"; "sampler"; "activity"; "clock" ]
+          [ "netlist"; "placed"; "wires"; "sampler"; "activity"; "clock" ]
         | Islands (dir, _) ->
           [ "shifters[" ^ Island.direction_name dir ^ "]"; "sampler"; "clock" ])
       ~key_label:(fun (cfg, (pos : Position.t)) ->
@@ -338,7 +354,7 @@ let prepare ?(config = default_config) () =
             ~lgate_nm:(fun i -> systematic.(i))
             ~vdd:(fun _ -> v)
             ~activity:(Sg.get activity_n)
-            ~wire_length:(fun nid -> Placement.wire_length placement nid)
+            ~wire_length:(Array.get (Sg.get wires_n))
             ~clock_ns:clock netlist
         | Islands (dir, raised) ->
           let v = Sg.get_keyed variant_k dir in
@@ -351,8 +367,7 @@ let prepare ?(config = default_config) () =
             ~lgate_nm:(fun i -> systematic.(i))
             ~vdd:(fun cid -> Level_shifter.vdd_assignment shifted ~raised cid)
             ~activity:v.activity_shifted
-            ~wire_length:(fun nid ->
-              Placement.wire_length shifted.Level_shifter.placement nid)
+            ~wire_length:(Array.get v.wires_shifted)
             ~clock_ns:clock shifted.Level_shifter.netlist)
   in
   {
@@ -360,6 +375,7 @@ let prepare ?(config = default_config) () =
     graph = g;
     design_n;
     placement0_n;
+    wires_n;
     sizing_n;
     netlist_n;
     placement_n;
@@ -386,6 +402,7 @@ let trace t = Sg.trace t.graph
 let design t = Sg.get t.design_n
 let netlist t = Sg.get t.netlist_n
 let placement t = Sg.get t.placement_n
+let wires t = Sg.get t.wires_n
 let sta t = Sg.get t.sta_n
 let nominal t = Sg.get t.nominal_n
 let clock t = Sg.get t.clock_n

@@ -58,6 +58,12 @@ val netlist : t -> Netlist.t
 (** The sized netlist. *)
 
 val placement : t -> Pvtol_place.Placement.t
+val wires : t -> float array
+(** {!Pvtol_place.Placement.wire_lengths} of the placement: the routed
+    length of every net, indexed by net id, used by sizing, STA and
+    power.  It holds for the sized netlist too, whose nets are the
+    design's. *)
+
 val sta : t -> Pvtol_timing.Sta.t
 val nominal : t -> Pvtol_timing.Sta.result
 (** Nominal-corner STA result of the sized design (the report behind
@@ -88,6 +94,8 @@ type variant = {
   slicing : Slicing.outcome;
   shifted : Level_shifter.t;
   sta_shifted : Pvtol_timing.Sta.t;
+  wires_shifted : float array;
+      (** per-net routed length on the shifted placement *)
   post_ls_worst : float;        (** nominal worst delay after insertion *)
   degradation : float;          (** (post_ls_worst - clock) / clock *)
   activity_shifted : Pvtol_power.Gatesim.activity;

@@ -16,10 +16,25 @@ module Sampler = Pvtol_variation.Sampler
 module Metrics = Pvtol_util.Metrics
 module Monte_carlo = Pvtol_ssta.Monte_carlo
 module Smart_sampling = Pvtol_ssta.Smart_sampling
+module Log = Pvtol_util.Log
 
 let m_cells = Metrics.counter "wafer_cells_total"
 let m_wafer_dies = Metrics.counter "wafer_dies_total"
 let m_sampling_dies = Metrics.counter "wafer_sampling_dies_total"
+let m_callback_errors = Metrics.counter "wafer_callback_errors_total"
+let callback_warned = Log.once ()
+
+(* A raising progress callback must not poison the sweep, whose result
+   does not depend on it: count the error, warn once per process, go
+   on. *)
+let notify name f =
+  try f ()
+  with e ->
+    Metrics.incr m_callback_errors;
+    Log.warn_once callback_warned
+      "wafer: %s progress callback raised %s; ignored (see \
+       wafer_callback_errors_total)"
+      name (Printexc.to_string e)
 
 type config = {
   nx : int;
@@ -186,13 +201,12 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
         Metrics.incr m_cells;
         Metrics.add m_wafer_dies acc.a_dies;
         (* Progress callbacks fire from whichever domain finished the
-           cell; the count is an Atomic so it is monotone across them.
-           A raising callback would poison the sweep — swallow. *)
+           cell; the count is an Atomic so it is monotone across them. *)
         (match on_cell with
         | None -> ()
-        | Some f -> (
+        | Some f ->
           let done_ = 1 + Atomic.fetch_and_add completed 1 in
-          try f ~completed:done_ ~total:total_cells with _ -> ()));
+          notify "on_cell" (fun () -> f ~completed:done_ ~total:total_cells));
         acc)
   in
   (* Ordered reduction (row-major), so wafer totals are bit-identical
@@ -727,9 +741,9 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
     if hw > 0.0 && hw <= scfg.s_ci_target then converged := true;
     match on_round with
     | None -> ()
-    | Some f -> (
-      try f ~round:!rounds ~max_rounds:scfg.s_max_rounds ~ci_halfwidth:hw
-      with _ -> ())
+    | Some f ->
+      notify "on_round" (fun () ->
+          f ~round:!rounds ~max_rounds:scfg.s_max_rounds ~ci_halfwidth:hw)
   done;
   let designated = combine (designated_metric scfg.s_ci_metric) in
   {

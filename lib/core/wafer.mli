@@ -84,9 +84,11 @@ val run :
 (** Run the sweep on [pool] (default: the shared pool), one pool chunk
     per grid cell.  Results are bit-identical for every pool size.
     [on_cell] fires after each grid cell completes, from whichever
-    domain finished it, with a monotone completed count — exceptions it
-    raises are swallowed.  [Invalid_argument] if the grid is empty or
-    the variant's direction does not match the config. *)
+    domain finished it, with a monotone completed count.  An exception
+    it raises does not stop the sweep or change its result: it is
+    counted in [wafer_callback_errors_total] and logged once per process
+    through {!Pvtol_util.Log.warn_once}.  [Invalid_argument] if the grid
+    is empty or the variant's direction does not match the config. *)
 
 val sweep :
   ?on_cell:(completed:int -> total:int -> unit) -> Flow.t -> config -> sweep
@@ -188,7 +190,8 @@ val estimate : ?on_round:on_round -> Flow.t -> sampling_config -> sampling_repor
     keyed stage [sampling[<label>]] — {!Compare} and {!Experiments}
     pick it up like any other stage.  [on_round] fires after every
     round with the current half-width (only on the force that actually
-    computes). *)
+    computes); like [on_cell], an exception it raises is counted and
+    logged, and the estimate goes on. *)
 
 val estimate_run :
   ?pool:Pvtol_util.Pool.t ->

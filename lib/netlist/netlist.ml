@@ -31,6 +31,43 @@ type t = {
   outputs : net_id array;
 }
 
+let is_comb c = not (Kind.is_sequential c.cell.Cell_lib.kind)
+
+(* Kahn's algorithm on the combinational core.  Flip-flop outputs and
+   primary inputs are sources, flip-flop inputs are sinks; cells on a
+   combinational cycle are never reached, so a short result means a
+   cycle. *)
+let kahn_order cells nets =
+  let ncells = Array.length cells in
+  let indeg = Array.make ncells 0 in
+  Array.iter
+    (fun c ->
+      if is_comb c then
+        Array.iter
+          (fun n ->
+            match nets.(n).driver with
+            | Some d when is_comb cells.(d) -> indeg.(c.id) <- indeg.(c.id) + 1
+            | Some _ | None -> ())
+          c.fanins)
+    cells;
+  let queue = Queue.create () in
+  Array.iter (fun c -> if is_comb c && indeg.(c.id) = 0 then Queue.add c.id queue) cells;
+  let order = Array.make ncells (-1) in
+  let k = ref 0 in
+  while not (Queue.is_empty queue) do
+    let cid = Queue.pop queue in
+    order.(!k) <- cid;
+    incr k;
+    Array.iter
+      (fun (sink, _pin) ->
+        if is_comb cells.(sink) then begin
+          indeg.(sink) <- indeg.(sink) - 1;
+          if indeg.(sink) = 0 then Queue.add sink queue
+        end)
+      nets.(cells.(cid).fanout).sinks
+  done;
+  Array.sub order 0 !k
+
 (* Growable array used only during construction. *)
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
@@ -168,42 +205,12 @@ module Builder = struct
   let cell_count b = Vec.length b.b_cells
 
   let check_acyclic cells nets =
-    (* Kahn's algorithm on the combinational core.  Flip-flop outputs are
-       sources; flip-flop inputs are sinks; a leftover node means a
-       combinational cycle. *)
-    let ncells = Array.length cells in
-    let indeg = Array.make ncells 0 in
-    let comb c = not (Kind.is_sequential c.cell.Cell_lib.kind) in
-    Array.iter
-      (fun c ->
-        if comb c then
-          Array.iter
-            (fun n ->
-              match nets.(n).driver with
-              | Some d when comb cells.(d) -> indeg.(c.id) <- indeg.(c.id) + 1
-              | Some _ | None -> ())
-            c.fanins)
-      cells;
-    let queue = Queue.create () in
-    Array.iter (fun c -> if comb c && indeg.(c.id) = 0 then Queue.add c.id queue) cells;
-    let visited = ref 0 in
-    while not (Queue.is_empty queue) do
-      let cid = Queue.pop queue in
-      incr visited;
-      let out = cells.(cid).fanout in
-      Array.iter
-        (fun (sink, _pin) ->
-          if comb cells.(sink) then begin
-            indeg.(sink) <- indeg.(sink) - 1;
-            if indeg.(sink) = 0 then Queue.add sink queue
-          end)
-        nets.(out).sinks
-    done;
-    let comb_total = Array.fold_left (fun acc c -> if comb c then acc + 1 else acc) 0 cells in
-    if !visited <> comb_total then
+    let visited = Array.length (kahn_order cells nets) in
+    let comb_total = Array.fold_left (fun acc c -> if is_comb c then acc + 1 else acc) 0 cells in
+    if visited <> comb_total then
       failwith
         (Printf.sprintf "combinational cycle: %d of %d cells unreachable"
-           (comb_total - !visited) comb_total)
+           (comb_total - visited) comb_total)
 
   let freeze b =
     let cells = Vec.to_array b.b_cells in
@@ -252,7 +259,7 @@ let cells_of_stage t stage =
     [] t.cells
   |> List.rev
 
-let is_comb c = not (Kind.is_sequential c.cell.Cell_lib.kind)
+let comb_order t = kahn_order t.cells t.nets
 
 let flops t = Array.of_list (List.filter (fun c -> not (is_comb c)) (Array.to_list t.cells))
 

@@ -112,6 +112,13 @@ val flops : t -> cell array
 
 val is_comb : cell -> bool
 
+val comb_order : t -> cell_id array
+(** The combinational cells in levelized (topological) order: every
+    cell comes after the drivers of its combinational fanins.  Flip-flops
+    are excluded; their outputs, like primary inputs, are sources.
+    Cells are released in id order (Kahn's algorithm with a FIFO), so the
+    order is a pure function of the topology. *)
+
 val fanout_cells : t -> cell -> (cell * int) list
 (** Cells (with pin index) driven by [c]'s output net. *)
 

@@ -53,6 +53,8 @@ let wire_length t nid =
   if fanout <= 1 then hpwl t nid
   else hpwl t nid *. (1.0 +. (0.35 *. (sqrt (float_of_int fanout) -. 1.0)))
 
+let wire_lengths t = Array.init (Netlist.net_count t.netlist) (wire_length t)
+
 let total_hpwl t =
   let acc = ref 0.0 in
   Array.iter (fun (n : Netlist.net) -> acc := !acc +. hpwl t n.Netlist.net_id) t.netlist.Netlist.nets;

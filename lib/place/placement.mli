@@ -36,6 +36,11 @@ val wire_length : t -> Netlist.net_id -> float
     loaded register-file write and select nets as slow as they are in
     synthesized (non-custom) register files. *)
 
+val wire_lengths : t -> float array
+(** {!wire_length} of every net, indexed by net id.  Build it once per
+    placement and index it, rather than recomputing each net's bounding
+    box per query. *)
+
 val total_hpwl : t -> float
 
 val copy : t -> t

@@ -11,84 +11,136 @@ type activity = {
   rates : float array;
 }
 
-(* Levelized combinational order (flip-flops excluded). *)
-let topo_order (nl : Netlist.t) =
-  let n = Netlist.cell_count nl in
-  let is_seq (c : Netlist.cell) =
-    Kind.is_sequential c.Netlist.cell.Cell_lib.kind
+(* Kind codes of the compiled evaluator.  Dff never reaches it (the
+   levelized order holds combinational cells only). *)
+let code_of = function
+  | Kind.Inv -> 0
+  | Kind.Buf | Kind.Ls | Kind.Dff -> 1
+  | Kind.Nand2 -> 2
+  | Kind.Nand3 -> 3
+  | Kind.Nor2 -> 4
+  | Kind.Nor3 -> 5
+  | Kind.And2 -> 6
+  | Kind.Or2 -> 7
+  | Kind.Xor2 -> 8
+  | Kind.Xnor2 -> 9
+  | Kind.Aoi21 -> 10
+  | Kind.Oai21 -> 11
+  | Kind.Mux2 -> 12
+  | Kind.Tiehi -> 13
+  | Kind.Tielo -> 14
+
+(* {!Kind.eval} on 0/1 ints; [a], [b], [c] are input pins 0, 1, 2. *)
+let eval code a b c =
+  match code with
+  | 0 -> 1 - a
+  | 1 -> a
+  | 2 -> 1 - (a land b)
+  | 3 -> 1 - (a land b land c)
+  | 4 -> 1 - (a lor b)
+  | 5 -> 1 - (a lor b lor c)
+  | 6 -> a land b
+  | 7 -> a lor b
+  | 8 -> a lxor b
+  | 9 -> 1 - (a lxor b)
+  | 10 -> 1 - ((a land b) lor c)
+  | 11 -> 1 - ((a lor b) land c)
+  | 12 -> if c = 1 then b else a
+  | 13 -> 1
+  | _ -> 0
+
+(* The levelized netlist as flat arrays, one slot per combinational
+   cell in evaluation order: its kind code, its fanin nets at a fixed
+   stride of 3 (unused pins read the cell's own output net, which the
+   code ignores) and its output net. *)
+type compiled = {
+  cell : int array;
+  code : int array;
+  fin : int array;
+  fout : int array;
+  flop_cell : int array;
+  flop_d : int array;
+  flop_q : int array;
+}
+
+let compile (nl : Netlist.t) =
+  let cell = Netlist.comb_order nl in
+  let n = Array.length cell in
+  let fin = Array.make (3 * n) 0 in
+  let fout = Array.make n 0 in
+  let code =
+    Array.mapi
+      (fun slot cid ->
+        let c = nl.Netlist.cells.(cid) in
+        let kind = c.Netlist.cell.Cell_lib.kind in
+        if Array.length c.Netlist.fanins <> Kind.arity kind then
+          invalid_arg "Gatesim.run: arity mismatch";
+        fout.(slot) <- c.Netlist.fanout;
+        for pin = 0 to 2 do
+          fin.((3 * slot) + pin) <-
+            (if pin < Array.length c.Netlist.fanins then c.Netlist.fanins.(pin)
+             else c.Netlist.fanout)
+        done;
+        code_of kind)
+      cell
   in
-  let indeg = Array.make n 0 in
-  Array.iter
-    (fun (c : Netlist.cell) ->
-      if not (is_seq c) then
-        Array.iter
-          (fun nid ->
-            match nl.Netlist.nets.(nid).Netlist.driver with
-            | Some d when not (is_seq nl.Netlist.cells.(d)) ->
-              indeg.(c.Netlist.id) <- indeg.(c.Netlist.id) + 1
-            | Some _ | None -> ())
-          c.Netlist.fanins)
-    nl.Netlist.cells;
-  let queue = Queue.create () in
-  Array.iter
-    (fun (c : Netlist.cell) ->
-      if (not (is_seq c)) && indeg.(c.Netlist.id) = 0 then
-        Queue.add c.Netlist.id queue)
-    nl.Netlist.cells;
-  let order = Array.make n (-1) in
-  let k = ref 0 in
-  while not (Queue.is_empty queue) do
-    let cid = Queue.pop queue in
-    order.(!k) <- cid;
-    incr k;
-    Array.iter
-      (fun (sink, _) ->
-        if not (is_seq nl.Netlist.cells.(sink)) then begin
-          indeg.(sink) <- indeg.(sink) - 1;
-          if indeg.(sink) = 0 then Queue.add sink queue
-        end)
-      nl.Netlist.nets.(nl.Netlist.cells.(cid).Netlist.fanout).Netlist.sinks
-  done;
-  Array.sub order 0 !k
+  let flops = Netlist.flops nl in
+  {
+    cell;
+    code;
+    fin;
+    fout;
+    flop_cell = Array.map (fun (c : Netlist.cell) -> c.Netlist.id) flops;
+    flop_d = Array.map (fun (c : Netlist.cell) -> c.Netlist.fanins.(0)) flops;
+    flop_q = Array.map (fun (c : Netlist.cell) -> c.Netlist.fanout) flops;
+  }
 
 let run ?(cycles = 512) (nl : Netlist.t) stimulus =
-  let order = topo_order nl in
-  let value = Array.make (Netlist.net_count nl) false in
+  let p = compile nl in
+  (* Net values and the flops' captured D values, one byte each
+     (0 or 1). *)
+  let value = Bytes.make (Netlist.net_count nl) '\000' in
+  let captured = Bytes.make (Array.length p.flop_cell) '\000' in
+  let get b i = Char.code (Bytes.unsafe_get b i) in
+  let set b i v = Bytes.unsafe_set b i (Char.unsafe_chr v) in
   let toggles = Array.make (Netlist.cell_count nl) 0 in
-  let flops =
-    Array.to_list nl.Netlist.cells
-    |> List.filter (fun (c : Netlist.cell) ->
-           Kind.is_sequential c.Netlist.cell.Cell_lib.kind)
-    |> Array.of_list
-  in
-  let eval_cell (c : Netlist.cell) =
-    let kind = c.Netlist.cell.Cell_lib.kind in
-    let ins = Array.map (fun nid -> value.(nid)) c.Netlist.fanins in
-    Kind.eval kind ins
-  in
+  let inputs = nl.Netlist.inputs in
+  let n_comb = Array.length p.cell and n_flops = Array.length p.flop_cell in
   for cycle = 0 to cycles - 1 do
-    Array.iteri
-      (fun idx nid -> value.(nid) <- stimulus ~cycle ~input_index:idx)
-      nl.Netlist.inputs;
-    (* Flop outputs already hold this cycle's Q; evaluate logic. *)
-    Array.iter
-      (fun cid ->
-        let c = nl.Netlist.cells.(cid) in
-        let v = eval_cell c in
-        if v <> value.(c.Netlist.fanout) then
-          toggles.(cid) <- toggles.(cid) + 1;
-        value.(c.Netlist.fanout) <- v)
-      order;
+    for idx = 0 to Array.length inputs - 1 do
+      set value inputs.(idx)
+        (Bool.to_int (stimulus ~cycle ~input_index:idx))
+    done;
+    (* Flop outputs already hold this cycle's Q; evaluate logic.  The
+       net ids in [fin]/[fout] come from the netlist, so every [value]
+       access is in bounds. *)
+    for s = 0 to n_comb - 1 do
+      let f = 3 * s in
+      let v =
+        eval p.code.(s)
+          (get value p.fin.(f))
+          (get value p.fin.(f + 1))
+          (get value p.fin.(f + 2))
+      in
+      let out = p.fout.(s) in
+      if v <> get value out then begin
+        let cid = p.cell.(s) in
+        toggles.(cid) <- toggles.(cid) + 1
+      end;
+      set value out v
+    done;
     (* Clock edge: all flops capture D simultaneously. *)
-    let captured =
-      Array.map (fun (c : Netlist.cell) -> value.(c.Netlist.fanins.(0))) flops
-    in
-    Array.iteri
-      (fun i (c : Netlist.cell) ->
-        if captured.(i) <> value.(c.Netlist.fanout) then
-          toggles.(c.Netlist.id) <- toggles.(c.Netlist.id) + 1;
-        value.(c.Netlist.fanout) <- captured.(i))
-      flops
+    for i = 0 to n_flops - 1 do
+      set captured i (get value p.flop_d.(i))
+    done;
+    for i = 0 to n_flops - 1 do
+      let q = p.flop_q.(i) and v = get captured i in
+      if v <> get value q then begin
+        let cid = p.flop_cell.(i) in
+        toggles.(cid) <- toggles.(cid) + 1
+      end;
+      set value q v
+    done
   done;
   {
     cycles;

@@ -21,7 +21,10 @@ type activity = {
 
 val run : ?cycles:int -> Netlist.t -> stimulus -> activity
 (** Simulate (default 512 cycles).  Deterministic for a deterministic
-    stimulus. *)
+    stimulus.  The levelized netlist is first compiled into flat int
+    arrays, so a cycle allocates nothing beyond what the stimulus does.
+    Raises [Invalid_argument] if a cell's fanin count does not match its
+    kind's arity. *)
 
 val random_stimulus : seed:int -> stimulus
 (** Uniform random bits (per cycle and input, reproducible). *)

@@ -41,6 +41,14 @@ let meets_constraints (result : Sta.result) ~clock ~frac =
     (fun (s, d, _) -> d <= clock *. frac s +. 1e-9)
     result.Sta.stage_worst
 
+(* [timed] holds the STA of the latest netlist timed in this call.  Every
+   round's netlist comes out of [Netlist.remap_cells], so the topology is
+   built once per call and each round only resizes it (the previous
+   round's STA is dropped as soon as it is replaced). *)
+let sta_of timed nl ~wire_length =
+  if Sta.netlist !timed != nl then timed := Sta.resize !timed nl ~wire_length;
+  !timed
+
 let recover ?(max_rounds = 16) ?(guard = 10.0) ?(rollback = true)
     ?(frac = fun _ -> 1.0) ~clock ~wire_length ~capture nl =
   let lib = nl.Netlist.lib in
@@ -50,10 +58,11 @@ let recover ?(max_rounds = 16) ?(guard = 10.0) ?(rollback = true)
   let downsized = ref 0 in
   let guard = ref guard in
   let continue_ = ref true in
+  let timed = ref (Sta.build nl ~wire_length ~capture) in
   while !continue_ && !rounds < max_rounds do
     incr rounds;
     let nl = !current in
-    let sta = Sta.build nl ~wire_length ~capture in
+    let sta = sta_of timed nl ~wire_length in
     let delays = Sta.nominal_delays sta in
     let result = Sta.analyze sta ~delays in
     let req = stage_required sta ~delays ~clock ~frac in
@@ -95,10 +104,11 @@ let recover ?(max_rounds = 16) ?(guard = 10.0) ?(rollback = true)
     end
     else begin
       (* Verify the round; roll back and tighten the guard on failure. *)
-      let sta' = Sta.build next ~wire_length ~capture in
+      let sta' = Sta.resize sta next ~wire_length in
       let result' = Sta.analyze sta' ~delays:(Sta.nominal_delays sta') in
       if meets_constraints result' ~clock ~frac then begin
         current := next;
+        timed := sta';
         downsized := !downsized + !changed
       end
       else guard := !guard *. 2.0
@@ -121,10 +131,11 @@ let close_timing ?(max_rounds = 60) ?(frac = fun _ -> 1.0) ~clock ~wire_length
   let rounds = ref 0 in
   let upsized = ref 0 in
   let continue_ = ref true in
+  let timed = ref (Sta.build nl ~wire_length ~capture) in
   while !continue_ && !rounds < max_rounds do
     incr rounds;
     let nl = !current in
-    let sta = Sta.build nl ~wire_length ~capture in
+    let sta = sta_of timed nl ~wire_length in
     let delays = Sta.nominal_delays sta in
     let result = Sta.analyze sta ~delays in
     if meets_constraints result ~clock ~frac then continue_ := false

@@ -13,13 +13,14 @@ let m_analyzes = Metrics.counter "sta_analyze_total"
 let m_inc_gates = Metrics.counter "sta_incremental_gates_total"
 let m_fallbacks = Metrics.counter "sta_full_fallbacks_total"
 
+(* Everything but [nl] and [base_delay] is topology (plus the per-pin
+   wire delays, fixed by the placement): [resize] shares it. *)
 type t = {
   nl : Netlist.t;
   order : int array;             (* combinational cells, topological *)
   base_delay : float array;      (* per cell *)
   pin_off : int array;           (* CSR row offsets into pin_wire, length cells+1 *)
   pin_wire : float array;        (* flattened per-pin wire delays, pin order *)
-  clk_to_q : float;
   setup : float;
   capture_of : Stage.t option array;  (* per cell *)
   flops : int array;
@@ -39,43 +40,10 @@ let wireload_model nl nid =
 
 let is_seq (c : Netlist.cell) = Kind.is_sequential c.Netlist.cell.Cell_lib.kind
 
-let topo_order (nl : Netlist.t) =
-  let n = Netlist.cell_count nl in
-  let indeg = Array.make n 0 in
-  let comb c = not (is_seq c) in
-  Array.iter
-    (fun (c : Netlist.cell) ->
-      if comb c then
-        Array.iter
-          (fun nid ->
-            match nl.Netlist.nets.(nid).Netlist.driver with
-            | Some d when comb nl.Netlist.cells.(d) ->
-              indeg.(c.Netlist.id) <- indeg.(c.Netlist.id) + 1
-            | Some _ | None -> ())
-          c.Netlist.fanins)
-    nl.Netlist.cells;
-  let queue = Queue.create () in
-  Array.iter
-    (fun (c : Netlist.cell) ->
-      if comb c && indeg.(c.Netlist.id) = 0 then Queue.add c.Netlist.id queue)
-    nl.Netlist.cells;
-  let order = Array.make n (-1) in
-  let k = ref 0 in
-  while not (Queue.is_empty queue) do
-    let cid = Queue.pop queue in
-    order.(!k) <- cid;
-    incr k;
-    Array.iter
-      (fun (sink, _) ->
-        if not (is_seq nl.Netlist.cells.(sink)) then begin
-          indeg.(sink) <- indeg.(sink) - 1;
-          if indeg.(sink) = 0 then Queue.add sink queue
-        end)
-      nl.Netlist.nets.(nl.Netlist.cells.(cid).Netlist.fanout).Netlist.sinks
-  done;
-  Array.sub order 0 !k
-
-let build nl ~wire_length ~capture =
+(* Per-cell nominal delays: intrinsic delay (clk-to-q for flops) plus
+   drive resistance times the output net's load.  This is the only part
+   of a [t] that drive sizing changes. *)
+let base_delays nl ~wire_length =
   let lib = nl.Netlist.lib in
   let net_load = Array.make (Netlist.net_count nl) 0.0 in
   Array.iter
@@ -92,17 +60,18 @@ let build nl ~wire_length ~capture =
       in
       net_load.(net.Netlist.net_id) <- pins +. wire)
     nl.Netlist.nets;
-  let base_delay =
-    Array.map
-      (fun (c : Netlist.cell) ->
-        let cell = c.Netlist.cell in
-        let load = net_load.(c.Netlist.fanout) in
-        if is_seq c then
-          (* clk-to-q, with the same load dependence as a gate. *)
-          lib.Cell_lib.clk_to_q +. (cell.Cell_lib.drive_res *. load)
-        else cell.Cell_lib.d0 +. (cell.Cell_lib.drive_res *. load))
-      nl.Netlist.cells
-  in
+  Array.map
+    (fun (c : Netlist.cell) ->
+      let cell = c.Netlist.cell in
+      let load = net_load.(c.Netlist.fanout) in
+      if is_seq c then
+        (* clk-to-q, with the same load dependence as a gate. *)
+        lib.Cell_lib.clk_to_q +. (cell.Cell_lib.drive_res *. load)
+      else cell.Cell_lib.d0 +. (cell.Cell_lib.drive_res *. load))
+    nl.Netlist.cells
+
+let build nl ~wire_length ~capture =
+  let lib = nl.Netlist.lib in
   (* Flattened CSR layout for the per-pin wire delays: one contiguous
      float array walked linearly by the forward pass, instead of a
      pointer chase through an array of per-cell arrays. *)
@@ -144,7 +113,7 @@ let build nl ~wire_length ~capture =
   in
   let flop_slot = Array.make n_cells (-1) in
   Array.iteri (fun slot cid -> flop_slot.(cid) <- slot) flops;
-  let order = topo_order nl in
+  let order = Netlist.comb_order nl in
   (* Levelization for the incremental worklist: a comb cell's level is
      one past its deepest combinational fanin (flop and primary-input
      fanins sit at depth 0), so an arrival change at level L can only
@@ -174,10 +143,9 @@ let build nl ~wire_length ~capture =
   {
     nl;
     order;
-    base_delay;
+    base_delay = base_delays nl ~wire_length;
     pin_off;
     pin_wire;
-    clk_to_q = lib.Cell_lib.clk_to_q;
     setup = lib.Cell_lib.setup;
     capture_of;
     flops;
@@ -186,6 +154,14 @@ let build nl ~wire_length ~capture =
     level;
     level_off;
   }
+
+let resize t nl ~wire_length =
+  if
+    nl.Netlist.nets != t.nl.Netlist.nets
+    || nl.Netlist.lib != t.nl.Netlist.lib
+    || Netlist.cell_count nl <> Netlist.cell_count t.nl
+  then invalid_arg "Sta.resize: netlist does not share the analysed topology";
+  { t with nl; base_delay = base_delays nl ~wire_length }
 
 let of_placement p ~capture =
   build p.Pvtol_place.Placement.netlist

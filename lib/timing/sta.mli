@@ -24,6 +24,17 @@ val build :
 (** [wire_length] estimates each net's routed length in um (HPWL after
     placement, a fanout-based wireload model before). *)
 
+val resize :
+  t -> Netlist.t -> wire_length:(Netlist.net_id -> float) -> t
+(** [resize t nl' ~wire_length] is [build nl' ~wire_length ~capture]
+    for a netlist that differs from [netlist t] only in its cells'
+    library characterisation — what {!Netlist.remap_cells} returns.  It
+    recomputes the per-cell delays and shares everything else with [t]:
+    the levelization, the CSR per-pin wire delays, the capture stages
+    and the endpoints.  [wire_length] must be the estimate [t] was built
+    with.  Raises [Invalid_argument] unless [nl'] shares [netlist t]'s
+    [nets] and [lib] (physical equality) and has as many cells. *)
+
 val of_placement :
   Pvtol_place.Placement.t -> capture:(Netlist.cell -> Stage.t option) -> t
 (** Wire lengths from placed HPWL. *)

@@ -298,6 +298,52 @@ let test_wafer_validation () =
   expect_invalid "direction mismatch"
     { wafer_cfg with Wafer.direction = Island.Horizontal }
 
+let test_wafer_callback_errors () =
+  (* A raising progress callback neither stops a sweep nor changes its
+     result: each raise is counted in wafer_callback_errors_total. *)
+  let module Metrics = Pvtol_util.Metrics in
+  let module Log = Pvtol_util.Log in
+  let t, v = Lazy.force env in
+  let errors = Metrics.counter "wafer_callback_errors_total" in
+  Metrics.set_enabled true;
+  Log.set_sink (fun _ _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Log.set_sink Log.default_sink)
+    (fun () ->
+      let before = Metrics.counter_value errors in
+      let s = Wafer.run t v wafer_cfg in
+      let s' =
+        Wafer.run ~on_cell:(fun ~completed:_ ~total:_ -> failwith "boom") t v
+          wafer_cfg
+      in
+      Alcotest.(check bool) "same sweep with a raising on_cell" true (s = s');
+      let cells = wafer_cfg.Wafer.nx * wafer_cfg.Wafer.ny in
+      Alcotest.(check int) "one error per cell" cells
+        (Metrics.counter_value errors - before);
+      let scfg =
+        {
+          Wafer.default_sampling_config with
+          Wafer.s_strata = 2;
+          s_dies_per_round = 4;
+          s_max_rounds = 3;
+          s_ci_target = 1e-12;
+        }
+      in
+      let r = Wafer.estimate_run t scfg in
+      let before = Metrics.counter_value errors in
+      let r' =
+        Wafer.estimate_run
+          ~on_round:(fun ~round:_ ~max_rounds:_ ~ci_halfwidth:_ ->
+            raise Exit)
+          t scfg
+      in
+      Alcotest.(check string) "same estimate with a raising on_round"
+        (Wafer.sampling_to_json r) (Wafer.sampling_to_json r');
+      Alcotest.(check int) "one error per round" r'.Wafer.sr_rounds
+        (Metrics.counter_value errors - before))
+
 let suite =
   ( "postsilicon",
     [
@@ -320,4 +366,6 @@ let suite =
       Alcotest.test_case "wafer sweep memoized" `Quick test_wafer_memoized;
       Alcotest.test_case "wafer flat memory" `Quick test_wafer_flat_memory;
       Alcotest.test_case "wafer validation" `Quick test_wafer_validation;
+      Alcotest.test_case "wafer callback errors counted" `Quick
+        test_wafer_callback_errors;
     ] )

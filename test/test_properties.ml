@@ -11,19 +11,24 @@ module Srng = Pvtol_util.Srng
 
 let lib = Cell.default_library
 
+let default_kinds =
+  [| Kind.Inv; Kind.Buf; Kind.Nand2; Kind.Nor2; Kind.Xor2; Kind.And2;
+     Kind.Or2; Kind.Aoi21; Kind.Mux2 |]
+
+(* Every combinational kind, tie cells and level shifters included. *)
+let comb_kinds =
+  Array.of_list (List.filter (fun k -> not (Kind.is_sequential k)) Kind.all)
+
 (* Random levelized DAG with flops sprinkled in, closed into a legal
-   sequential design.  Deterministic in the seed. *)
-let random_netlist seed =
+   sequential design; its gates are drawn from [kinds].  Deterministic
+   in the seed. *)
+let random_netlist ?(kinds = default_kinds) seed =
   let rng = Srng.create seed in
   let b = Builder.create ~design_name:"rand" lib in
   let n_inputs = 2 + Srng.int rng 6 in
   let inputs = Array.init n_inputs (fun i -> Builder.input b (Printf.sprintf "i%d" i)) in
   let pool = ref (Array.to_list inputs) in
   let pool_arr () = Array.of_list !pool in
-  let kinds =
-    [| Kind.Inv; Kind.Buf; Kind.Nand2; Kind.Nor2; Kind.Xor2; Kind.And2;
-       Kind.Or2; Kind.Aoi21; Kind.Mux2 |]
-  in
   let n_cells = 20 + Srng.int rng 120 in
   let stage_of k =
     match k mod 4 with
@@ -108,11 +113,12 @@ let prop_sdf_roundtrip_random =
 
 let prop_gatesim_matches_simtool =
   (* The production activity simulator and the test-oracle simulator
-     must agree on toggle counts for any design and stimulus. *)
-  QCheck.Test.make ~name:"gatesim agrees with the reference simulator" ~count:15
+     must agree on toggle counts for any design and stimulus, over every
+     combinational kind the compiled simulator has a code for. *)
+  QCheck.Test.make ~name:"gatesim agrees with the reference simulator" ~count:20
     (QCheck.int_bound 100_000)
     (fun seed ->
-      let nl = random_netlist seed in
+      let nl = random_netlist ~kinds:comb_kinds seed in
       let cycles = 24 in
       let stim = Pvtol_power.Gatesim.random_stimulus ~seed:(seed + 1) in
       let act = Pvtol_power.Gatesim.run ~cycles nl stim in
@@ -147,6 +153,57 @@ let prop_gatesim_matches_simtool =
           nl.Netlist.cells
       done;
       act.Pvtol_power.Gatesim.toggles = toggles)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prop_sta_resize_matches_build =
+  (* Resizing a built STA onto a drive-remapped netlist is a rebuild:
+     same delays, same analysis, bit for bit.  A netlist with other
+     nets (even an equal copy) is rejected. *)
+  QCheck.Test.make ~name:"Sta.resize equals a fresh Sta.build" ~count:30
+    (QCheck.int_bound 100_000)
+    (fun seed ->
+      let nl = random_netlist seed in
+      let rng = Srng.create (seed + 7) in
+      let wires =
+        Array.init (Netlist.net_count nl) (fun _ -> 20.0 *. Srng.uniform rng)
+      in
+      let wire_length = Array.get wires in
+      let drives = [| Cell.X0; Cell.X1; Cell.X2; Cell.X4 |] in
+      let nl' =
+        Netlist.remap_cells nl (fun c ->
+            Cell.find lib c.Netlist.cell.Cell.kind
+              drives.(Srng.int rng (Array.length drives)))
+      in
+      let sta = Sta.build nl ~wire_length ~capture:capture_all in
+      let resized = Sta.resize sta nl' ~wire_length in
+      let direct = Sta.build nl' ~wire_length ~capture:capture_all in
+      let d1 = Sta.nominal_delays resized and d2 = Sta.nominal_delays direct in
+      let r1 = Sta.analyze resized ~delays:d1 in
+      let r2 = Sta.analyze direct ~delays:d2 in
+      let rejects other =
+        match Sta.resize sta other ~wire_length with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      same_bits d1 d2
+      && same_bits r1.Sta.arrival r2.Sta.arrival
+      && same_bits r1.Sta.endpoint_delay r2.Sta.endpoint_delay
+      && same_bits [| r1.Sta.worst |] [| r2.Sta.worst |]
+      && r1.Sta.worst_endpoint = r2.Sta.worst_endpoint
+      && List.equal
+           (fun (s1, d1, e1) (s2, d2, e2) ->
+             Stage.equal s1 s2 && same_bits [| d1 |] [| d2 |] && e1 = e2)
+           r1.Sta.stage_worst r2.Sta.stage_worst
+      && same_bits
+           (Sta.required resized ~delays:d1 ~clock:1.0)
+           (Sta.required direct ~delays:d2 ~clock:1.0)
+      && rejects (random_netlist (seed + 1))
+      && rejects (random_netlist seed))
 
 let prop_spef_roundtrip =
   QCheck.Test.make ~name:"spef extract/annotate reproduces the placed STA"
@@ -400,6 +457,7 @@ let suite =
       qcheck prop_sta_scaling_linear;
       qcheck prop_sdf_roundtrip_random;
       qcheck prop_gatesim_matches_simtool;
+      qcheck prop_sta_resize_matches_build;
       qcheck prop_spef_roundtrip;
       qcheck prop_liberty_roundtrip_fuzzed;
       qcheck prop_island_domains_partition;
