@@ -415,8 +415,8 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   let brng = Srng.create 99 in
   let batch = Sampler.batch sampler ~base ~systematic ~vdd:(fun _ -> low) in
   (* Importance-sampled die at position B: the full per-die overhead of
-     the smart-sampling layer — component pick, RNG replay for the
-     likelihood ratio, tilted systematic field — on top of the plain
+     the smart-sampling layer — component pick, tilted systematic field,
+     likelihood ratio priced on the die's own draw — on top of the plain
      fig3/mc-sample path, so the two lines diff to the IS tax. *)
   let systematic_b = Sampler.systematic_lgates sampler placement Position.point_b in
   let is_model =
@@ -430,10 +430,12 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   (* Compensation-strategy kernels: one failing die is drawn up-front
      at the worst corner (retrying a few draws so the knobs have
      violations to chase), then each kernel re-applies its strategy to
-     that same die.  The applies re-derive everything from the scratch's
-     gate lengths, so repeated runs are deterministic; the detect kernel
-     gets its own scratch and RNG so its iterations cannot disturb the
-     pinned die. *)
+     that same die.  The applies read the die's low/high delay vectors,
+     which the scratch keeps until its next detect (detect scales [low],
+     the first apply needing 1.2V scales [high], every later apply
+     reuses both), so repeated runs are deterministic and time the
+     steady-state apply; the detect kernel gets its own scratch and RNG
+     so its iterations cannot disturb the pinned die. *)
   let comp_ctx = Compensation.context t in
   let comp_v = Flow.variant t Island.Vertical in
   let comp_sc = Compensation.scratch comp_ctx in
@@ -493,9 +495,6 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "fig3/mc-sample-is", 1,
         fun () ->
           let comp = Smart_sampling.pick is_model is_rng in
-          let probe = Srng.copy is_rng in
-          Srng.fill_gaussians probe is_z ~pos:0 ~len:n;
-          let w = Smart_sampling.weight is_model ~comp ~z:is_z in
           let sys =
             match Smart_sampling.shift is_model ~comp with
             | Either.Right () -> systematic_b
@@ -505,11 +504,13 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
                 ~theta:tl.Smart_sampling.theta ~out:is_sys;
               is_sys
           in
-          Sampler.sample_lgates sampler ~systematic:sys is_rng lgates;
+          Srng.fill_gaussians is_rng is_z ~pos:0 ~len:n;
+          Sampler.lgates_of_gaussians sampler ~systematic:sys ~z:is_z
+            ~out:lgates;
           Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> low)
             ~out:delays;
           Sta.analyze_into sta ws ~delays;
-          ignore w );
+          ignore (Smart_sampling.weight is_model ~comp ~z:is_z) );
       ( "fig4/corner-check", 1,
         fun () ->
           for i = 0 to n - 1 do

@@ -10,6 +10,7 @@ module Cell = Pvtol_stdcell.Cell
 module Kind = Pvtol_stdcell.Kind
 module Process = Pvtol_stdcell.Process
 module Metrics = Pvtol_util.Metrics
+module Srng = Pvtol_util.Srng
 module Monte_carlo = Pvtol_ssta.Monte_carlo
 
 let m_vi_applied = Metrics.counter "compensation_vi_applied_total"
@@ -41,8 +42,12 @@ type ctx = {
 type scratch = {
   ws : Sta.workspace;
   inc : Sta.inc_workspace;  (* [ws] is its inner workspace *)
+  z : float array;          (* the die's raw standard-normal draw *)
   lgates : float array;
-  delays : float array;
+  low : float array;        (* the die's delays, every cell at [ctx.low] *)
+  high : float array;       (* ... at [ctx.high]; valid iff [high_valid] *)
+  mutable high_valid : bool;
+  delays : float array;     (* mixed-supply assembly for the island settle *)
 }
 
 type detect = {
@@ -90,10 +95,15 @@ let scratch c =
   {
     ws = Sta.inc_ws inc;
     inc;
+    z = Array.make c.n_cells 0.0;
     lgates = Array.make c.n_cells 0.0;
+    low = Array.make c.n_cells 0.0;
+    high = Array.make c.n_cells 0.0;
+    high_valid = false;
     delays = Array.make c.n_cells 0.0;
   }
 
+let gaussians sc = sc.z
 let clock c = c.clock
 let power_baseline_mw c = c.power_baseline
 let power_chip_wide_mw c = c.power_chip_wide
@@ -101,18 +111,27 @@ let power_chip_wide_mw c = c.power_chip_wide
 let systematic c position =
   Sampler.systematic_lgates c.sampler c.placement position
 
-(* Re-time the shared scratch's current Lgate realisation under a
-   per-cell supply map.  This is THE analysis step of the pre-refactor
-   settle loop, verbatim: the incremental pass is bit-identical to the
-   full one (bound 0.), so both engines produce the same die verdicts;
-   the supply reconfigurations are where the cached arrivals pay off. *)
-let analyze_shared c sc ~vdd =
-  Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates ~vdd
-    ~out:sc.delays;
+(* Re-time the shared scratch's current die under a delay vector built
+   from its [low]/[high] vectors.  The incremental pass is bit-identical
+   to the full one (bound 0.), so both engines produce the same die
+   verdicts; the supply reconfigurations are where the cached arrivals
+   pay off (the pass diffs against its own copy of the last vector, so
+   any of the scratch's vectors may be passed). *)
+let analyze_shared c sc delays =
   match c.engine with
-  | Monte_carlo.Golden -> Sta.analyze_into c.sta sc.ws ~delays:sc.delays
-  | Monte_carlo.Batched ->
-    Sta.analyze_incremental_into c.sta sc.inc ~delays:sc.delays
+  | Monte_carlo.Golden -> Sta.analyze_into c.sta sc.ws ~delays
+  | Monte_carlo.Batched -> Sta.analyze_incremental_into c.sta sc.inc ~delays
+
+(* The die's delays with every cell at the high supply: scaled on the
+   first request after [detect], then reused by every strategy and
+   every apply until the next [detect]. *)
+let high_delays c sc =
+  if not sc.high_valid then begin
+    Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates
+      ~vdd:(fun _ -> c.high) ~out:sc.high;
+    sc.high_valid <- true
+  end;
+  sc.high
 
 let count_violating ws clock =
   List.length
@@ -125,11 +144,17 @@ let count_violating ws clock =
 
 let detect c sc ~systematic rng =
   (* One random Lgate realisation for this die; every strategy below
-     re-times the same realisation.  The single [sample_lgates] call is
-     the die's only RNG consumption, so per-die streams are identical
-     for every strategy subset a caller evaluates. *)
-  Sampler.sample_lgates c.sampler ~systematic rng sc.lgates;
-  analyze_shared c sc ~vdd:(fun _ -> c.low);
+     re-times the same realisation.  The [n_cells] gaussians drawn here
+     are the die's only RNG consumption, so per-die streams are
+     identical for every strategy subset a caller evaluates.  Each
+     supply's delay vector is scaled once per die: [low] here, [high]
+     on first demand. *)
+  Srng.fill_gaussians rng sc.z ~pos:0 ~len:c.n_cells;
+  Sampler.lgates_of_gaussians c.sampler ~systematic ~z:sc.z ~out:sc.lgates;
+  Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates
+    ~vdd:(fun _ -> c.low) ~out:sc.low;
+  sc.high_valid <- false;
+  analyze_shared c sc sc.low;
   let violating = count_violating sc.ws c.clock in
   let worst_low =
     List.fold_left
@@ -199,8 +224,12 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
         let meets_with raised =
           if raised = 0 then d.violating = 0
           else begin
-            analyze_shared c sc ~vdd:(fun cid ->
-                if domains.(cid) <= raised then c.high else c.low);
+            let high = high_delays c sc in
+            for cid = 0 to c.n_cells - 1 do
+              sc.delays.(cid) <-
+                (if domains.(cid) <= raised then high.(cid) else sc.low.(cid))
+            done;
+            analyze_shared c sc sc.delays;
             count_violating sc.ws c.clock = 0
           end
         in
@@ -238,7 +267,7 @@ let chip_wide c =
           { meets = true; knob = 0; power_mw = c.power_baseline;
             area_um2 = 0.0 }
         else begin
-          analyze_shared c sc ~vdd:(fun _ -> c.high);
+          analyze_shared c sc (high_delays c sc);
           let meets = count_violating sc.ws c.clock = 0 in
           Metrics.incr m_chipwide_applied;
           { meets; knob = 1; power_mw = c.power_chip_wide; area_um2 = 0.0 }
@@ -283,7 +312,6 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
            skew settle runs full passes on its own buffers, leaving the
            shared state bit-exact for whatever strategy runs next. *)
         let ws = Sta.workspace c.sta in
-        let delays = Array.make c.n_cells 0.0 in
         let tune = Array.make c.n_cells 0.0 in
         let skew cid = offs.(cid) +. tune.(cid) in
         fun sc (d : detect) ->
@@ -292,11 +320,8 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
               area_um2 = 0.0 }
           else begin
             Array.iter (fun cid -> tune.(cid) <- 0.0) all_caps;
-            (* The die stays at the low supply; re-derive its delay
-               vector from the shared Lgate realisation (the shared
-               [sc.delays] may hold another strategy's last config). *)
-            Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates
-              ~vdd:(fun _ -> c.low) ~out:delays;
+            (* The die stays at the low supply: every pass re-times the
+               die's [low] vector, which only [detect] writes. *)
             let failing s =
               match Sta.ws_stage_delay ws s with
               | Some dd -> dd > c.clock +. 1e-12
@@ -309,7 +334,7 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
                — and re-verify.  Stops on success, knob saturation, or
                the iteration cap (one downstream ripple per step). *)
             let rec settle iters =
-              Sta.analyze_into ~skew c.sta ws ~delays;
+              Sta.analyze_into ~skew c.sta ws ~delays:sc.low;
               let bad = List.filter (fun (s, _) -> failing s) stage_caps in
               if bad = [] then true
               else if iters <= 0 then false
@@ -384,7 +409,6 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
     fresh_apply =
       (fun () ->
         let ws = Sta.workspace c.sta in
-        let delays = Array.make c.n_cells 0.0 in
         let trims = Array.make c.n_cells 0 in
         fun sc (d : detect) ->
           if d.violating = 0 then
@@ -392,15 +416,13 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
               area_um2 = 0.0 }
           else begin
             List.iter (fun cid -> trims.(cid) <- 0) sites;
-            Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates
-              ~vdd:(fun _ -> c.low) ~out:delays;
             (* One STA pass for this die's endpoint arrivals; each trim
                stage then shaves [trim] ns off its endpoint's path, so
                the greedy loop below is pure arithmetic: enable one trim
                at a time on the binding endpoint of a failing stage
                until every stage meets or the binding endpoint is out of
                (configured or remaining) trims. *)
-            Sta.analyze_into c.sta ws ~delays;
+            Sta.analyze_into c.sta ws ~delays:sc.low;
             let eff cid =
               Sta.ws_endpoint_delay ws cid
               -. (float_of_int trims.(cid) *. trim)

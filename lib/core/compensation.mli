@@ -13,6 +13,14 @@
     own knob and reports a {!outcome} (meets-timing verdict, knob
     count, die power, exercised area).
 
+    Each supply's delay vector is priced once per die: {!detect} scales
+    the die's Lgates to its all-low-supply delays, the first strategy
+    that needs the high supply scales them once more, and every later
+    analysis of the die — island settle steps, chip-wide raise, skew
+    and buffer passes, repeated applies — assembles its delays from
+    those two vectors by island membership.  The next {!detect}
+    invalidates both.
+
     Kernel-style split, like {!Postsilicon.kernel}: a strategy's
     precomputed state is immutable and safe to share across domains;
     everything mutable lives in the closure returned by
@@ -36,9 +44,9 @@ type ctx
     and the baseline/chip-wide power levels.  Immutable. *)
 
 type scratch
-(** Per-caller mutable state (STA workspaces, Lgate and delay buffers)
-    shared by {!detect} and the island/chip-wide strategies.  One per
-    concurrent simulator. *)
+(** Per-caller mutable state (STA workspaces, the die's raw draw, its
+    Lgates and its low/high-supply delay vectors) shared by {!detect}
+    and every strategy.  One per concurrent simulator. *)
 
 type detect = {
   violating : int;       (** analyzed stages failing at the low supply *)
@@ -61,6 +69,14 @@ val context :
     results are bit-identical either way. *)
 
 val scratch : ctx -> scratch
+
+val gaussians : scratch -> float array
+(** The raw standard-normal draw of the last {!detect} on this scratch,
+    one per cell (the die's Lgate is [systematic + sigma * z]).  Owned
+    by the scratch and overwritten by the next {!detect}: an
+    importance-sampling driver prices the die's likelihood ratio on it
+    right after the die is simulated. *)
+
 val clock : ctx -> float
 val power_baseline_mw : ctx -> float
 val power_chip_wide_mw : ctx -> float
@@ -71,9 +87,10 @@ val systematic : ctx -> Pvtol_variation.Position.t -> float array
 
 val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> detect
 (** One die's sensor verdict: draw its random Lgate realisation from
-    [rng] (exactly one {!Pvtol_variation.Sampler.sample_lgates} call —
-    strategies consume no RNG, so the per-die stream is identical for
-    every strategy subset), re-time it at the low supply and count the
+    [rng] (exactly [n_cells] gaussians, the stream
+    {!Pvtol_variation.Sampler.sample_lgates} would consume — strategies
+    consume no RNG, so the per-die stream is identical for every
+    strategy subset), re-time it at the low supply and count the
     failing analyzed stages. *)
 
 (** {2 The strategy interface} *)

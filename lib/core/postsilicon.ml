@@ -93,6 +93,7 @@ let die_power_chip_wide_mw k d =
   else Compensation.power_chip_wide_mw k.ctx
 
 let systematic k position = Compensation.systematic k.ctx position
+let gaussians s = Compensation.gaussians s.sc
 
 let simulate_die k s ~systematic rng =
   (* Detect once (the die's only RNG consumption), then play both

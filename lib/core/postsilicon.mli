@@ -100,10 +100,15 @@ val systematic : kernel -> Pvtol_variation.Position.t -> float array
     just the A-D diagonal).  Deterministic; compute once per position
     and share across the dies simulated there. *)
 
+val gaussians : scratch -> float array
+(** The raw standard-normal draw behind the last {!simulate_die} on this
+    scratch ({!Compensation.gaussians}); valid until the next die. *)
+
 val simulate_die :
   kernel -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> die
-(** One die: draw its random Lgate realisation from [rng] (exactly one
-    {!Pvtol_variation.Sampler.sample_lgates} call), detect the failing
+(** One die: draw its random Lgate realisation from [rng] (exactly the
+    [n_cells] gaussians one {!Pvtol_variation.Sampler.sample_lgates}
+    call would draw), detect the failing
     stages at the low supply, raise islands until timing is met
     (closed-loop settle), and evaluate the chip-wide alternative.
     Consumes RNG draws only for the Lgate sampling, so callers control

@@ -570,6 +570,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
     invalid_arg "Wafer.estimate: variant direction does not match the config";
   let k = Postsilicon.kernel t v in
   let sampler = Flow.sampler t in
+  let placement = Flow.placement t in
   let sta = Flow.sta t in
   let nl = Flow.netlist t in
   let n = Pvtol_netlist.Netlist.cell_count nl in
@@ -641,9 +642,8 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
         ~init:(fun ~worker:_ ->
           ( Postsilicon.scratch k,
             Array.make n 0.0,
-            Array.make n 0.0,
             Array.make n_sampling_metrics 0.0 ))
-        ~f:(fun (sc, zbuf, sysbuf, vbuf) g ->
+        ~f:(fun (sc, sysbuf, vbuf) g ->
           let gx = g mod s and gy = g / s in
           let model = models.(g) in
           let rng =
@@ -690,29 +690,22 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
                 in
                 Position.at_xy ~x_frac:fx ~y_frac:fy ()
             in
-            let systematic = Postsilicon.systematic k pos in
-            let w, sys_used =
-              if Smart_sampling.n_components model = 0 then (1.0, systematic)
-              else begin
-                (* Draw-ahead replay: observe the raw gaussians the die
-                   kernel is about to consume, price the balance-
-                   heuristic weight on them, then realise the tilt as a
-                   shifted systematic field through the unchanged
-                   kernel. *)
-                let pre = Srng.copy rng in
-                Srng.fill_gaussians pre zbuf ~pos:0 ~len:n;
-                let w = Smart_sampling.weight model ~comp ~z:zbuf in
-                match Smart_sampling.shift model ~comp with
-                | Either.Right () -> (w, systematic)
-                | Either.Left tilt ->
-                  Sampler.shifted_systematic sampler ~systematic
-                    ~cells:tilt.Smart_sampling.cells
-                    ~dir:tilt.Smart_sampling.dir
-                    ~theta:tilt.Smart_sampling.theta ~out:sysbuf;
-                  (w, sysbuf)
-              end
+            (* The tilt is realised as a shifted systematic field
+               through the unchanged kernel; the kernel keeps the raw
+               gaussians it drew, and the balance-heuristic weight is a
+               function of (component, draw) alone, so it is priced on
+               them once the die is done. *)
+            Sampler.systematic_into sampler placement pos ~out:sysbuf;
+            (match Smart_sampling.shift model ~comp with
+             | Either.Right () -> ()
+             | Either.Left tilt ->
+               Sampler.shifted_systematic sampler ~systematic:sysbuf
+                 ~cells:tilt.Smart_sampling.cells ~dir:tilt.Smart_sampling.dir
+                 ~theta:tilt.Smart_sampling.theta ~out:sysbuf);
+            let d = Postsilicon.simulate_die k sc ~systematic:sysbuf rng in
+            let w =
+              Smart_sampling.weight model ~comp ~z:(Postsilicon.gaussians sc)
             in
-            let d = Postsilicon.simulate_die k sc ~systematic:sys_used rng in
             die_values ~rare:scfg.s_rare d vbuf;
             for m = 0 to n_sampling_metrics - 1 do
               Welford.add acc.ga_metrics.(m) (w *. vbuf.(m))

@@ -16,11 +16,13 @@
       unbiased: [E_q w f = E_p f] for every integrand.  The shift is
       realised {e without touching the die kernel}: the tilted mean
       [sigma * theta * u] is folded into the systematic Lgate field
-      ({!Pvtol_variation.Sampler.shifted_systematic}) while the RNG
-      stream is replayed via {!Pvtol_util.Srng.copy} +
-      {!Pvtol_util.Srng.fill_gaussians} to recover the raw draw's
-      projections for the likelihood ratio — bit-compatible with both
-      MC engines, which consume the identical gaussian stream.
+      ({!Pvtol_variation.Sampler.shifted_systematic}), the die kernel
+      draws its raw gaussians exactly as for an untilted die and keeps
+      them ({!Pvtol_core.Postsilicon.gaussians}), and the likelihood
+      ratio — a function of the component and the raw draw alone, not
+      of the die's outcome — is priced on that draw after the die is
+      simulated.  Nothing is drawn twice, and both MC engines consume
+      the identical gaussian stream.
     - {b Tilt construction}: one component per worst endpoint
       ({!Pvtol_timing.Paths.worst_endpoints}) of each analyzed stage
       that sits below the clock among the [rare] slowest; its direction
@@ -110,7 +112,7 @@ val weight : model -> comp:int -> z:float array -> float
 (** Balance-heuristic likelihood ratio of one die:
     [1 / (alpha + sum_j beta_j exp (theta_j <u_j, z_total> -
     theta_j^2 / 2))] where [z] is the die's {e raw} standard-normal
-    draw (recovered by stream replay) and [z_total] adds the realised
+    draw (as kept by the die kernel) and [z_total] adds the realised
     shift of component [comp] through the precomputed Gram matrix.
     Bounded by [1 / alpha]; equal to 1 on {!plain}. *)
 

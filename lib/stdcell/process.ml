@@ -21,14 +21,27 @@ let default =
 
 let paper_literal = { default with alpha_dibl = 0.15 }
 
-let vth_eff t ~vdd ~lgate_nm = t.vth0 -. (vdd *. exp (-.t.alpha_dibl *. lgate_nm))
+let[@inline] vth_eff t ~vdd ~lgate_nm =
+  t.vth0 -. (vdd *. exp (-.t.alpha_dibl *. lgate_nm))
 
-let raw_delay t ~vdd ~lgate_nm =
+let[@inline] raw_delay t ~vdd ~lgate_nm =
   let vth = vth_eff t ~vdd ~lgate_nm in
   (lgate_nm ** 1.5) *. vdd /. ((vdd -. vth) ** t.alpha)
 
 let delay_scale t ~vdd ~lgate_nm =
   raw_delay t ~vdd ~lgate_nm /. raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
+
+let scale_into t ~base ~lgates ~vdd ~out =
+  let n = Array.length base in
+  assert (Array.length lgates = n && Array.length out = n);
+  (* One nominal-corner denominator per call, and the per-cell model
+     inlined so the loop boxes nothing; each element is the float
+     [base.(i) *. delay_scale t ~vdd:(vdd i) ~lgate_nm:lgates.(i)]. *)
+  let nominal = raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm in
+  for i = 0 to n - 1 do
+    out.(i) <-
+      base.(i) *. (raw_delay t ~vdd:(vdd i) ~lgate_nm:lgates.(i) /. nominal)
+  done
 
 let leakage_scale t ~vdd ~lgate_nm =
   let vth = vth_eff t ~vdd ~lgate_nm in

@@ -46,6 +46,18 @@ val delay_scale : t -> vdd:float -> lgate_nm:float -> float
 (** Eq. 3, normalized to 1.0 at (vdd_low, l_nominal_nm).  Values < 1
     mean the cell got faster (e.g. under vdd_high). *)
 
+val scale_into :
+  t ->
+  base:float array ->
+  lgates:float array ->
+  vdd:(int -> float) ->
+  out:float array ->
+  unit
+(** [out.(i) <- base.(i) *. delay_scale t ~vdd:(vdd i) ~lgate_nm:lgates.(i)]
+    for every cell, bit for bit, with the constant nominal-corner
+    denominator of {!delay_scale} evaluated once per call rather than
+    once per cell. *)
+
 val leakage_scale : t -> vdd:float -> lgate_nm:float -> float
 (** Subthreshold-leakage *power* scale relative to the nominal corner:
     [I0 * exp((Vth_nom - Vth)/swing) * (Vdd/vdd_low)^2].  The quadratic

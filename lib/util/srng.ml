@@ -2,7 +2,7 @@ type t = { mutable state : int64; mutable cached : float option }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -27,10 +27,11 @@ let split g =
   let s = bits64 g in
   { state = mix s; cached = None }
 
-let uniform g =
-  (* 53 high bits scaled into [0,1). *)
-  let b = Int64.shift_right_logical (bits64 g) 11 in
-  Int64.to_float b *. 0x1.0p-53
+(* 53 high bits scaled into [0,1). *)
+let[@inline] unit_float bits =
+  Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1.0p-53
+
+let uniform g = unit_float (bits64 g)
 
 let float g x = uniform g *. x
 
@@ -81,18 +82,18 @@ let fill_gaussians g out ~pos ~len =
   (* Whole pairs through a local state copy: one loop, no per-call
      dispatch, no [float option] boxing.  The draw sequence — two
      [uniform]s per Box-Muller pair, [u1 = 0] rejection included — is
-     exactly the one [gaussian] produces call by call. *)
+     exactly the one [gaussian] produces call by call.  The state ref is
+     never captured by a closure, so the compiler keeps it an unboxed
+     [int64] register and the loop allocates nothing. *)
   let s = ref g.state in
-  let next_uniform () =
-    s := Int64.add !s golden_gamma;
-    Int64.to_float (Int64.shift_right_logical (mix !s) 11) *. 0x1.0p-53
-  in
   (* Unsafe writes are sound: the range check above guarantees
      [pos + len <= length out] and [!i + 1 < stop <= pos + len]. *)
   while !i + 1 < stop do
-    let u1 = next_uniform () in
+    s := Int64.add !s golden_gamma;
+    let u1 = unit_float (mix !s) in
     if u1 > 1e-300 then begin
-      let u2 = next_uniform () in
+      s := Int64.add !s golden_gamma;
+      let u2 = unit_float (mix !s) in
       let r = sqrt (-2.0 *. log u1) in
       let theta = 2.0 *. Float.pi *. u2 in
       Array.unsafe_set out !i (r *. cos theta);

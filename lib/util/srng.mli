@@ -12,12 +12,7 @@ val create : int -> t
 
 val copy : t -> t
 (** [copy g] duplicates the current state of [g], including any cached
-    Box-Muller half.  Combined with {!fill_gaussians} this gives a
-    {e draw-ahead replay}: a consumer about to hand [g] to a kernel can
-    [fill_gaussians (copy g)] to observe the exact gaussians the kernel
-    is about to consume without disturbing [g] — the importance-sampling
-    layer recovers each die's raw draw this way to price its likelihood
-    ratio. *)
+    Box-Muller half; the copy and [g] then produce the same stream. *)
 
 val jump : t -> int -> unit
 (** [jump g n] advances [g] past the next [n] raw draws in O(1) —
@@ -55,10 +50,10 @@ val fill_gaussians : t -> float array -> pos:int -> len:int -> unit
     {!gaussian} calls (including the cached Box-Muller half at both
     ends), but through one tight loop that keeps the SplitMix64 state in
     a local and allocates nothing per pair — the bulk-draw entry point
-    of the batched Monte-Carlo engine.  Because the bit-identity holds
-    for any [len], a replay via {!copy} + [fill_gaussians] sees exactly
-    the values any downstream mix of [gaussian] / [fill_gaussians]
-    calls will produce from the original generator. *)
+    of the batched Monte-Carlo engine and of every die's Lgate draw.
+    Because the bit-identity holds for any [len], callers may mix
+    [gaussian] and [fill_gaussians] calls freely without changing the
+    stream. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -50,11 +50,26 @@ let create ?(field_mm = 28.0) ?(calibrate_mm = 14.0) ?(shape = default_shape)
 
 let default = create ~l_nominal_nm:65.0 ~max_dev_frac:0.055 ()
 
-let systematic_nm t ~x_mm ~y_mm =
-  let clamp v = Float.max 0.0 (Float.min t.field_mm v) in
-  let x = clamp x_mm and y = clamp y_mm in
+(* [Float.max 0.0 (Float.min hi v)] for every [v] (NaN included),
+   written as comparisons so that callers' loops stay unboxed. *)
+let[@inline] clamp hi v = if v <= 0.0 then 0.0 else if v > hi then hi else v
+
+let[@inline] systematic_nm t ~x_mm ~y_mm =
+  let x = clamp t.field_mm x_mm and y = clamp t.field_mm y_mm in
   (t.a *. x *. x) +. (t.b *. y *. y) +. (t.c *. x) +. (t.d *. y)
   +. (t.e *. x *. y) +. t.intercept
+
+let systematic_into t ~origin_x_mm ~origin_y_mm ~xs_um ~ys_um ~out =
+  let n = Array.length out in
+  assert (Array.length xs_um = n && Array.length ys_um = n);
+  for i = 0 to n - 1 do
+    (* The um -> mm map of [Position.to_field], inlined with the
+       polynomial so that the loop boxes nothing. *)
+    out.(i) <-
+      systematic_nm t
+        ~x_mm:(origin_x_mm +. (xs_um.(i) /. 1000.0))
+        ~y_mm:(origin_y_mm +. (ys_um.(i) /. 1000.0))
+  done
 
 let deviation_frac t ~x_mm ~y_mm =
   (systematic_nm t ~x_mm ~y_mm -. t.l_nominal_nm) /. t.l_nominal_nm

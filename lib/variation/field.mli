@@ -39,6 +39,19 @@ val systematic_nm : t -> x_mm:float -> y_mm:float -> float
 (** Systematic Lgate at a field coordinate, in nm (clamped to the
     field). *)
 
+val systematic_into :
+  t ->
+  origin_x_mm:float ->
+  origin_y_mm:float ->
+  xs_um:float array ->
+  ys_um:float array ->
+  out:float array ->
+  unit
+(** [out.(i) <- systematic_nm] at the field point of core-local
+    coordinates [(xs_um.(i), ys_um.(i))] (um) on a core whose origin
+    sits at [(origin_x_mm, origin_y_mm)] — {!Position.to_field} per
+    cell, bit for bit, with no per-cell allocation. *)
+
 val deviation_frac : t -> x_mm:float -> y_mm:float -> float
 (** (systematic - nominal) / nominal. *)
 

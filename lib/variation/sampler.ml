@@ -23,25 +23,36 @@ let create ?field ?(process = Process.default) ?(three_sigma_rnd_frac = 0.065)
     sigma_rnd_nm = three_sigma_rnd_frac /. 3.0 *. process.Process.l_nominal_nm;
   }
 
+let systematic_into t (p : Placement.t) (pos : Position.t) ~out =
+  Field.systematic_into t.field ~origin_x_mm:pos.Position.origin_x_mm
+    ~origin_y_mm:pos.Position.origin_y_mm ~xs_um:p.Placement.xs
+    ~ys_um:p.Placement.ys ~out
+
 let systematic_lgates t (p : Placement.t) pos =
-  Array.mapi
-    (fun i _ ->
-      let x_mm, y_mm =
-        Position.to_field pos ~x_um:p.Placement.xs.(i) ~y_um:p.Placement.ys.(i)
-      in
-      Field.systematic_nm t.field ~x_mm ~y_mm)
-    p.Placement.xs
+  let out = Array.make (Array.length p.Placement.xs) 0.0 in
+  systematic_into t p pos ~out;
+  out
+
+let lgates_of_gaussians t ~systematic ~z ~out =
+  let n = Array.length out in
+  assert (Array.length systematic = n && Array.length z = n);
+  let sigma = t.sigma_rnd_nm in
+  for i = 0 to n - 1 do
+    out.(i) <- systematic.(i) +. (sigma *. z.(i))
+  done
 
 let sample_lgates t ~systematic rng out =
-  assert (Array.length out = Array.length systematic);
-  for i = 0 to Array.length out - 1 do
-    out.(i) <- systematic.(i) +. (t.sigma_rnd_nm *. Srng.gaussian rng)
-  done
+  (* [fill_gaussians] is bit-identical to one [Srng.gaussian] per cell,
+     so drawing in place and then shifting is the per-call
+     [systematic.(i) +. sigma *. gaussian rng] loop, minus its boxing. *)
+  Srng.fill_gaussians rng out ~pos:0 ~len:(Array.length out);
+  lgates_of_gaussians t ~systematic ~z:out ~out
 
 let shifted_systematic t ~systematic ~cells ~dir ~theta ~out =
   assert (Array.length out = Array.length systematic);
   assert (Array.length cells = Array.length dir);
-  Array.blit systematic 0 out 0 (Array.length systematic);
+  if out != systematic then
+    Array.blit systematic 0 out 0 (Array.length systematic);
   for k = 0 to Array.length cells - 1 do
     let i = cells.(k) in
     out.(i) <- out.(i) +. (t.sigma_rnd_nm *. theta *. dir.(k))
@@ -50,11 +61,7 @@ let shifted_systematic t ~systematic ~cells ~dir ~theta ~out =
 let delay_scale t ~lgate_nm ~vdd = Process.delay_scale t.process ~vdd ~lgate_nm
 
 let scale_delays t ~base ~lgates ~vdd ~out =
-  let n = Array.length base in
-  assert (Array.length lgates = n && Array.length out = n);
-  for i = 0 to n - 1 do
-    out.(i) <- base.(i) *. delay_scale t ~lgate_nm:lgates.(i) ~vdd:(vdd i)
-  done
+  Process.scale_into t.process ~base ~lgates ~vdd ~out
 
 (* ------------------------------------------------------------------ *)
 (* Batched structure-of-arrays scale path.

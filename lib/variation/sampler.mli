@@ -28,9 +28,25 @@ val systematic_lgates :
 (** Per-cell systematic Lgate (nm) at a die position — the
     deterministic part, computed once per position. *)
 
+val systematic_into :
+  t -> Pvtol_place.Placement.t -> Position.t -> out:float array -> unit
+(** {!systematic_lgates} into a caller-owned array, allocating nothing —
+    for drivers that move the die to a fresh position every die. *)
+
 val sample_lgates :
   t -> systematic:float array -> Pvtol_util.Srng.t -> float array -> unit
-(** Fill the output array with systematic + fresh random draws. *)
+(** Fill the output array with systematic + fresh random draws:
+    bit-identical to [out.(i) <- systematic.(i) +. sigma_rnd *.
+    Srng.gaussian rng] cell by cell, and leaves [rng] in the same state,
+    but draws through {!Pvtol_util.Srng.fill_gaussians}. *)
+
+val lgates_of_gaussians :
+  t -> systematic:float array -> z:float array -> out:float array -> unit
+(** [out.(i) <- systematic.(i) +. sigma_rnd *. z.(i)] — the Lgate
+    realisation of a raw standard-normal draw [z] ([out] may be [z]).
+    {!sample_lgates} is [fill_gaussians] followed by this; a caller that
+    must keep the draw (to price an importance weight on it) draws [z]
+    itself and calls this. *)
 
 val shifted_systematic :
   t ->
@@ -41,7 +57,7 @@ val shifted_systematic :
   out:float array ->
   unit
 (** [out <- systematic] with [sigma_rnd * theta * dir.(k)] added at
-    each [cells.(k)] — a mean shift of the random Lgate component
+    each [cells.(k)] ([out] may be [systematic] itself) — a mean shift of the random Lgate component
     expressed as a modified systematic field.  Because
     {!sample_lgates} adds the random draw on top of whatever
     systematic it is given, passing the shifted field to an unchanged
@@ -59,8 +75,11 @@ val scale_delays :
   vdd:(int -> float) ->
   out:float array ->
   unit
-(** [out.(i) <- base.(i) * delay_scale lgates.(i) (vdd i)] for all
-    cells — the per-sample inner loop of the Monte Carlo engine. *)
+(** [out.(i) <- base.(i) *. delay_scale lgates.(i) (vdd i)] for all
+    cells, bit for bit — the per-sample inner loop of the Monte Carlo
+    engine and the per-die, per-supply step of the post-silicon
+    kernel.  The nominal-corner denominator is evaluated once per
+    call. *)
 
 (** {2 Batched structure-of-arrays path}
 

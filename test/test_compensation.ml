@@ -294,6 +294,241 @@ let test_vi_strategy_matches_postsilicon () =
       done)
     [ Position.point_a; Position.point_c ]
 
+(* --- die-kernel oracle: every analysis re-scales the Lgates --- *)
+
+module Sta = Pvtol_timing.Sta
+module Paths = Pvtol_timing.Paths
+module Clock_tree = Pvtol_timing.Clock_tree
+module Sampler = Pvtol_variation.Sampler
+module Slicing = Pvtol_core.Slicing
+module Monte_carlo = Pvtol_ssta.Monte_carlo
+
+(* The kernel prices each supply's delay vector once per die and
+   assembles every analysis from those two vectors.  The oracle below is
+   the formula it replaced: each analysis re-scales the die's Lgates,
+   cell by cell, at that analysis's per-cell supply, through a full STA
+   pass — with the four strategies' settle rules restated on top.
+   Returns [(meets, knob)] per strategy, in [Compensation.all_choices]
+   order, plus the detect verdict. *)
+let oracle t v =
+  let sta = Flow.sta t and sampler = Flow.sampler t in
+  let placement = Flow.placement t in
+  let base = Sta.nominal_delays sta in
+  let n = Array.length base in
+  let proc = sampler.Sampler.process in
+  let low = proc.Pvtol_stdcell.Process.vdd_low in
+  let high = proc.Pvtol_stdcell.Process.vdd_high in
+  let clock = Flow.clock t in
+  let ws = Sta.workspace sta in
+  let analyzed = Compensation.analyzed in
+  let delays_at lgates vdd =
+    Array.init n (fun i ->
+        base.(i) *. Sampler.delay_scale sampler ~lgate_nm:lgates.(i) ~vdd:(vdd i))
+  in
+  let failing s =
+    match Sta.ws_stage_delay ws s with
+    | Some d -> d > clock +. 1e-12
+    | None -> false
+  in
+  let violating () = List.length (List.filter failing analyzed) in
+  let domains =
+    Island.domains v.Flow.slicing.Slicing.partition placement
+  in
+  let n_islands =
+    Array.length v.Flow.slicing.Slicing.partition.Island.islands
+  in
+  let stage_caps =
+    List.map (fun s -> (s, Sta.stage_endpoint_ids sta s)) analyzed
+  in
+  let all_caps = Array.concat (List.map snd stage_caps) in
+  let offs =
+    (Clock_tree.synthesize placement ~flops:(Sta.flop_ids sta))
+      .Clock_tree.offsets
+  in
+  let nominal = Sta.analyze sta ~delays:base in
+  let sites =
+    List.concat_map
+      (fun s -> List.map fst (Paths.worst_endpoints ~stage:s sta nominal ~k:8))
+      analyzed
+  in
+  fun lgates ->
+    let dl = delays_at lgates (fun _ -> low) in
+    Sta.analyze_into sta ws ~delays:dl;
+    let viol = violating () in
+    let worst =
+      List.fold_left
+        (fun acc s ->
+          match Sta.ws_stage_delay ws s with
+          | Some d -> Float.max acc d
+          | None -> acc)
+        0.0 analyzed
+    in
+    let passing = (true, 0) in
+    let vi =
+      let meets_with r =
+        if r = 0 then viol = 0
+        else begin
+          Sta.analyze_into sta ws
+            ~delays:
+              (delays_at lgates (fun i -> if domains.(i) <= r then high else low));
+          violating () = 0
+        end
+      in
+      let rec settle r =
+        if r >= n_islands then (meets_with n_islands, n_islands)
+        else if meets_with r then (true, r)
+        else settle (r + 1)
+      in
+      settle (min viol n_islands)
+    in
+    let cw =
+      if viol = 0 then passing
+      else begin
+        Sta.analyze_into sta ws ~delays:(delays_at lgates (fun _ -> high));
+        (violating () = 0, 1)
+      end
+    in
+    let skew =
+      if viol = 0 then passing
+      else begin
+        let tune = Array.make n 0.0 in
+        let max_tune = 0.10 *. clock in
+        let step = max_tune /. 4.0 in
+        let rec settle iters =
+          Sta.analyze_into ~skew:(fun c -> offs.(c) +. tune.(c)) sta ws
+            ~delays:dl;
+          let bad = List.filter (fun (s, _) -> failing s) stage_caps in
+          if bad = [] then true
+          else if iters <= 0 then false
+          else begin
+            let moved = ref false in
+            List.iter
+              (fun (_, caps) ->
+                Array.iter
+                  (fun c ->
+                    if tune.(c) +. step <= max_tune +. 1e-12 then begin
+                      tune.(c) <- tune.(c) +. step;
+                      moved := true
+                    end)
+                  caps)
+              bad;
+            !moved && settle (iters - 1)
+          end
+        in
+        let meets = settle (4 * List.length analyzed) in
+        ( meets,
+          Array.fold_left
+            (fun a c -> if tune.(c) > 0.0 then a + 1 else a)
+            0 all_caps )
+      end
+    in
+    let buffers =
+      if viol = 0 then passing
+      else begin
+        let trims = Array.make n 0 and cap = Array.make n 0 in
+        List.iter (fun c -> cap.(c) <- 4) sites;
+        let trim = 0.02 *. clock in
+        Sta.analyze_into sta ws ~delays:dl;
+        let binding caps =
+          Array.fold_left
+            (fun (wc, wd) c ->
+              let d =
+                Sta.ws_endpoint_delay ws c -. (float_of_int trims.(c) *. trim)
+              in
+              if d > wd then (c, d) else (wc, wd))
+            (-1, neg_infinity) caps
+        in
+        let rec settle () =
+          match
+            List.filter
+              (fun (_, caps) -> snd (binding caps) > clock +. 1e-12)
+              stage_caps
+          with
+          | [] -> true
+          | (_, caps) :: _ ->
+            let c, _ = binding caps in
+            c >= 0 && trims.(c) < cap.(c)
+            && begin
+              trims.(c) <- trims.(c) + 1;
+              settle ()
+            end
+        in
+        let meets = settle () in
+        (meets, List.fold_left (fun a c -> a + trims.(c)) 0 sites)
+      end
+    in
+    (viol, worst, [ vi; cw; skew; buffers ])
+
+let test_kernel_matches_oracle () =
+  let t, v = Lazy.force env in
+  let sampler = Flow.sampler t in
+  let oracle = oracle t v in
+  List.iter
+    (fun engine ->
+      let ctx = Compensation.context ~engine t in
+      let sc = Compensation.scratch ctx in
+      let applies =
+        List.map
+          (fun c -> (Compensation.build t ctx v c).Compensation.fresh_apply ())
+          Compensation.all_choices
+      in
+      (* Dies alternate between A, D and A's field slowed by a few nm,
+         so consecutive dies differ in which strategies fail, how many
+         islands they raise and whether even 1.2V saves them — a vector
+         left over from the previous die would change a verdict. *)
+      let sys_a = Compensation.systematic ctx Position.point_a in
+      let fields =
+        [| ("A", sys_a);
+           ("D", Compensation.systematic ctx Position.point_d);
+           ("A+6nm", Array.map (fun l -> l +. 6.0) sys_a);
+           ("A+2nm", Array.map (fun l -> l +. 2.0) sys_a);
+           ("A+10nm", Array.map (fun l -> l +. 10.0) sys_a) |]
+      in
+      let rng = Srng.create 23 in
+      let seen = Hashtbl.create 16 in
+      for die = 0 to 49 do
+        let name, systematic = fields.(die mod Array.length fields) in
+        let label = Printf.sprintf "die %d at %s" die name in
+        let lgates = Array.make (Array.length systematic) 0.0 in
+        Sampler.sample_lgates sampler ~systematic (Srng.copy rng) lgates;
+        let viol, worst, expect = oracle lgates in
+        Hashtbl.replace seen (viol, expect) ();
+        let d = Compensation.detect ctx sc ~systematic rng in
+        Alcotest.(check int) (label ^ ": violating") viol
+          d.Compensation.violating;
+        check_bits (label ^ ": worst low") worst d.Compensation.worst_low_ns;
+        (* The kept draw is the one behind the die's Lgates. *)
+        let z = Compensation.gaussians sc in
+        Array.iteri
+          (fun i lg ->
+            check_bits (label ^ ": lgate from kept draw") lg
+              (systematic.(i) +. (sampler.Sampler.sigma_rnd_nm *. z.(i))))
+          lgates;
+        (* Every strategy twice after one detect, the second round in
+           reverse order: the per-die vectors must survive repeated
+           applies and serve every strategy alike. *)
+        let row =
+          List.map2
+            (fun (c, apply) e -> (Compensation.choice_name c, apply, e))
+            (List.combine Compensation.all_choices applies)
+            expect
+        in
+        List.iteri
+          (fun round order ->
+            List.iter
+              (fun (name, apply, (meets, knob)) ->
+                let o = apply sc d in
+                Alcotest.(check (pair bool int))
+                  (Printf.sprintf "%s: %s round %d" label name (round + 1))
+                  (meets, knob)
+                  (o.Compensation.meets, o.Compensation.knob))
+              order)
+          [ row; List.rev row ]
+      done;
+      Alcotest.(check bool) "oracle sees varied die verdicts" true
+        (Hashtbl.length seen >= 4))
+    [ Monte_carlo.Golden; Monte_carlo.Batched ]
+
 (* --- harness behaviour --- *)
 
 let test_compare_memoized () =
@@ -387,6 +622,8 @@ let suite =
         test_cost_monotone_in_knob;
       Alcotest.test_case "vi strategy = postsilicon kernel" `Quick
         test_vi_strategy_matches_postsilicon;
+      Alcotest.test_case "die kernel = per-analysis rescale oracle" `Quick
+        test_kernel_matches_oracle;
       Alcotest.test_case "compare memoized per key" `Quick
         test_compare_memoized;
       Alcotest.test_case "compare validation" `Quick test_compare_validation;

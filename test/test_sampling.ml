@@ -282,6 +282,36 @@ let test_engine_invariance () =
   Alcotest.(check string) "is report: golden vs batched" (report "golden")
     (report "batched")
 
+(* Pinned reports: digests of small quick-design estimates.  The yield-ci
+   benchmark pins no report, and the invariance tests above only compare
+   runs with each other; these catch any change to the per-die stream,
+   the tilt or the importance weight, byte for byte. *)
+let test_pinned_reports () =
+  let t = Lazy.force flow in
+  List.iter
+    (fun (method_, expected) ->
+      let cfg =
+        {
+          Wafer.default_sampling_config with
+          Wafer.s_method = method_;
+          s_strata = 2;
+          s_dies_per_round = 4;
+          s_max_rounds = 3;
+          s_ci_target = 1e-12;
+          s_ci_metric = Wafer.Ci_rare;
+        }
+      in
+      let json =
+        with_pool ~domains:2 (fun pool ->
+            Wafer.sampling_to_json (Wafer.estimate_run ~pool t cfg))
+      in
+      Alcotest.(check string)
+        (Smart_sampling.method_name method_ ^ " report digest")
+        expected
+        (Digest.to_hex (Digest.string json)))
+    [ (Smart_sampling.Is, "fda38da1a21c3ce709e93b6ccd030459");
+      (Smart_sampling.Lhs, "76b666d42952bdec69ac3114974f2701") ]
+
 (* ------------------------------------------------------------------ *)
 (* Stage-graph exposure                                                 *)
 
@@ -447,6 +477,7 @@ let suite =
       Alcotest.test_case "stopping rule" `Quick test_stopping_rule;
       Alcotest.test_case "domain invariance" `Quick test_domain_invariance;
       Alcotest.test_case "engine invariance" `Quick test_engine_invariance;
+      Alcotest.test_case "pinned is/lhs reports" `Quick test_pinned_reports;
       Alcotest.test_case "keyed stage memoized" `Quick
         test_keyed_stage_memoized;
     ]

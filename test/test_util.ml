@@ -107,7 +107,17 @@ let test_srng_fill_gaussians () =
   check "cached half" ~warmup:true [ 64 ];
   check "cached half, odd" ~warmup:true [ 7 ];
   check "segmented" ~warmup:false [ 5; 1; 12; 0; 9 ];
-  check "single" ~warmup:true [ 1 ]
+  check "single" ~warmup:true [ 1 ];
+  (* The pair loop keeps its state unboxed: a long fill allocates only
+     the constant call overhead (the odd tail's cached half), not a
+     boxed [int64] per draw. *)
+  let g = Srng.create 5 in
+  let out = Array.make 7019 0.0 in
+  let w0 = Gc.minor_words () in
+  Srng.fill_gaussians g out ~pos:0 ~len:7019;
+  let words = Gc.minor_words () -. w0 in
+  if words > 256.0 then
+    Alcotest.failf "fill_gaussians allocated %.0f words for 7019 draws" words
 
 let test_srng_split_diverges () =
   let a = Srng.create 11 in

@@ -104,16 +104,78 @@ let test_delay_scale_consistency () =
   Alcotest.(check bool) "matches process model" true (Float.abs (s -. expected) < 1e-12)
 
 let test_scale_delays_vectorized () =
+  (* Bit for bit the per-cell [base * delay_scale] product, at a mixed
+     per-cell supply map, although the nominal-corner denominator is
+     hoisted out of the loop. *)
   let sampler = Sampler.create () in
-  let base = [| 1.0; 2.0; 3.0 |] in
-  let lgates = [| 65.0; 66.0; 64.0 |] in
-  let out = Array.make 3 0.0 in
-  Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> 1.0) ~out;
+  let n = 257 in
+  let base = Array.init n (fun i -> 0.01 +. (0.003 *. float_of_int i)) in
+  let lgates = Array.init n (fun i -> 60.0 +. (0.043 *. float_of_int i)) in
+  let vdd i = if i mod 3 = 0 then 1.2 else 1.0 in
+  let out = Array.make n 0.0 in
+  Sampler.scale_delays sampler ~base ~lgates ~vdd ~out;
   Array.iteri
     (fun i b ->
-      let expected = b *. Sampler.delay_scale sampler ~lgate_nm:lgates.(i) ~vdd:1.0 in
-      Alcotest.(check bool) "elementwise" true (Float.abs (out.(i) -. expected) < 1e-12))
+      let expected =
+        b *. Sampler.delay_scale sampler ~lgate_nm:lgates.(i) ~vdd:(vdd i)
+      in
+      if out.(i) <> expected then
+        Alcotest.failf "cell %d: %h vs %h" i out.(i) expected)
     base
+
+(* [sample_lgates] against the per-call loop it replaced, on random
+   lengths (odd and even), seeds and stream alignments (with and
+   without a cached Box-Muller half pending): same Lgates bit for bit,
+   and the two generators continue identically. *)
+let test_sample_lgates_bitwise =
+  QCheck.Test.make ~name:"sample_lgates = per-call gaussian loop" ~count:200
+    QCheck.(triple (int_bound 100_000) (int_range 1 301) bool)
+    (fun (seed, n, cached) ->
+      let sampler = Sampler.create () in
+      let systematic = Array.init n (fun i -> 62.0 +. (0.01 *. float_of_int i)) in
+      let a = Srng.create seed and b = Srng.create seed in
+      if cached then begin
+        ignore (Srng.gaussian a);
+        ignore (Srng.gaussian b)
+      end;
+      let expect =
+        Array.init n (fun i ->
+            systematic.(i) +. (sampler.Sampler.sigma_rnd_nm *. Srng.gaussian a))
+      in
+      let got = Array.make n nan in
+      Sampler.sample_lgates sampler ~systematic b got;
+      Array.for_all2 (fun e g -> Int64.equal (Int64.bits_of_float e)
+        (Int64.bits_of_float g)) expect got
+      && Srng.gaussian a = Srng.gaussian b
+      && Srng.gaussian a = Srng.gaussian b
+      && Srng.bits64 a = Srng.bits64 b)
+
+let test_systematic_into () =
+  (* The allocation-free field evaluation equals [systematic_lgates] and
+     the per-cell [Position.to_field] + [Field.systematic_nm] reference,
+     bit for bit — also at positions where the field clamps. *)
+  let p = Lazy.force placed_small in
+  let sampler = Sampler.create () in
+  let n = Array.length p.Pvtol_place.Placement.xs in
+  let out = Array.make n nan in
+  List.iter
+    (fun pos ->
+      Sampler.systematic_into sampler p pos ~out;
+      let fresh = Sampler.systematic_lgates sampler p pos in
+      Array.iteri
+        (fun i v ->
+          let x_mm, y_mm =
+            Position.to_field pos ~x_um:p.Pvtol_place.Placement.xs.(i)
+              ~y_um:p.Pvtol_place.Placement.ys.(i)
+          in
+          let reference = Field.systematic_nm sampler.Sampler.field ~x_mm ~y_mm in
+          if v <> reference || fresh.(i) <> reference then
+            Alcotest.failf "%s cell %d: %h / %h vs %h" pos.Position.label i v
+              fresh.(i) reference)
+        out)
+    [ Position.point_a; Position.point_c;
+      Position.at_xy ~x_frac:0.37 ~y_frac:0.91 ();
+      Position.at_xy ~x_frac:(-0.5) ~y_frac:2.5 () ]
 
 let test_custom_budget () =
   let f = Field.create ~l_nominal_nm:65.0 ~max_dev_frac:0.02 () in
@@ -137,5 +199,7 @@ let suite =
       Alcotest.test_case "sampling moments" `Quick test_sampling_moments;
       Alcotest.test_case "delay scale consistency" `Quick test_delay_scale_consistency;
       Alcotest.test_case "scale_delays vectorized" `Quick test_scale_delays_vectorized;
+      QCheck_alcotest.to_alcotest test_sample_lgates_bitwise;
+      Alcotest.test_case "systematic_into" `Quick test_systematic_into;
       Alcotest.test_case "custom budget" `Quick test_custom_budget;
     ] )
