@@ -357,38 +357,46 @@ let compensation_check ctx =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (heading "Validation — Monte Carlo with islands raised (per scenario)");
-  List.iter
-    (fun (v : Flow.variant) ->
-      let part = v.Flow.slicing.Slicing.partition in
-      let domains = Island.domains part (Flow.placement t) in
-      List.iter
-        (fun (raised, pos) ->
-          let vdd =
-            Island.vdd_assignment part ~domains ~raised
-              ~lib:(Flow.netlist t).Netlist.lib
-          in
-          let mc =
-            MC.run
-              ~config:{ MC.samples = 150; seed = (Flow.config t).Flow.mc_seed + 9 }
-              ~vdd ~sampler:(Flow.sampler t) ~sta:(Flow.sta t)
-              ~placement:(Flow.placement t) ~position:pos ()
-          in
-          let worst_residual =
-            List.fold_left
-              (fun acc (ss : MC.stage_stats) ->
-                if ss.MC.stage = Stage.Fetch then acc
-                else Float.max acc (MC.three_sigma_delay ss -. clock))
-              neg_infinity mc.MC.stages
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  %s %d VI @ %s: worst stage 3-sigma residual %+.3f ns (%s)\n"
-               (Island.direction_name v.Flow.direction) raised
-               pos.Position.label worst_residual
-               (if worst_residual <= 0.01 *. clock then "compensated"
-                else "NOT compensated")))
-        [ (1, Position.point_c); (2, Position.point_b); (3, Position.point_a) ])
-    [ vertical ctx; horizontal ctx ];
+  let checks =
+    List.concat_map
+      (fun (v : Flow.variant) ->
+        let part = v.Flow.slicing.Slicing.partition in
+        let domains = Island.domains part (Flow.placement t) in
+        List.map
+          (fun (raised, pos) ->
+            ( v.Flow.direction,
+              raised,
+              ( pos,
+                Some
+                  (Island.vdd_assignment part ~domains ~raised
+                     ~lib:(Flow.netlist t).Netlist.lib) ) ))
+          [ (1, Position.point_c); (2, Position.point_b); (3, Position.point_a) ])
+      [ vertical ctx; horizontal ctx ]
+  in
+  (* One run for all six checks: they share the seed, hence the draws. *)
+  let mcs =
+    MC.run_many
+      ~config:{ MC.samples = 150; seed = (Flow.config t).Flow.mc_seed + 9 }
+      ~sampler:(Flow.sampler t) ~sta:(Flow.sta t) ~placement:(Flow.placement t)
+      (List.map (fun (_, _, job) -> job) checks)
+  in
+  List.iter2
+    (fun (direction, raised, _) (mc : MC.result) ->
+      let worst_residual =
+        List.fold_left
+          (fun acc (ss : MC.stage_stats) ->
+            if ss.MC.stage = Stage.Fetch then acc
+            else Float.max acc (MC.three_sigma_delay ss -. clock))
+          neg_infinity mc.MC.stages
+      in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "  %s %d VI @ %s: worst stage 3-sigma residual %+.3f ns (%s)\n"
+           (Island.direction_name direction) raised
+           mc.MC.position.Position.label worst_residual
+           (if worst_residual <= 0.01 *. clock then "compensated"
+            else "NOT compensated")))
+    checks mcs;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -4,7 +4,6 @@
    stage enum. *)
 module Sg = Stage
 module Trace = Pvtol_util.Trace
-module Pool = Pvtol_util.Pool
 module Metrics = Pvtol_util.Metrics
 module Log = Pvtol_util.Log
 open Pvtol_netlist
@@ -103,6 +102,7 @@ type t = {
   fir_n : Fir.result Sg.node;
   activity_n : Gatesim.activity Sg.node;
   mc_k : (Position.t, MC.result) Sg.keyed;
+  mc_all : unit -> (Position.t * MC.result) list;
   scenarios_n : Scenario.t list Sg.node;
   islands_k : (Island.direction, Slicing.outcome) Sg.keyed;
   variant_k : (Island.direction, variant) Sg.keyed;
@@ -208,26 +208,25 @@ let prepare ?(config = default_config) () =
         in
         Gatesim.run ~cycles:config.gatesim_cycles netlist stim)
   in
+  (* Monte-Carlo SSTA at any set of die positions in one
+     [MC.run_many]: the positions share each chunk's gaussian draw. *)
+  let mc_many positions =
+    MC.run_many
+      ~config:{ MC.samples = config.mc_samples; seed = config.mc_seed }
+      ~sampler:(Sg.get sampler_n) ~sta:(Sg.get sta_n)
+      ~placement:(Sg.get placement_n)
+      (List.map (fun p -> (p, None)) positions)
+  in
   let mc_k =
     Sg.keyed g ~name:"mc"
       ~deps:(fun _ -> [ "sta"; "placed"; "sampler" ])
       ~key_label:(fun (p : Position.t) -> p.Position.label)
-      (fun position ->
-        MC.run
-          ~config:{ MC.samples = config.mc_samples; seed = config.mc_seed }
-          ~sampler:(Sg.get sampler_n) ~sta:(Sg.get sta_n)
-          ~placement:(Sg.get placement_n) ~position ())
+      (fun position -> List.hd (mc_many [ position ]))
   in
-  (* All four die positions as parallel tasks; each task's own MC
-     fan-out then runs serially inside its worker (the pool's nested-use
-     guard), so this trades chunk-level for position-level parallelism
-     with bit-identical results.  Already-memoized positions return
-     instantly inside their task. *)
+  (* The named positions not yet memoized are computed together. *)
   let mc_all () =
-    Pool.map (Pool.shared ())
-      ~f:(fun p -> (p, Sg.get_keyed mc_k p))
-      (Array.of_list Position.named)
-    |> Array.to_list
+    List.combine Position.named
+      (Sg.get_keyed_many mc_k Position.named ~compute:mc_many)
   in
   let scenarios_n =
     Sg.node g ~name:"scenarios" ~deps:[ "clock"; "mc" ] (fun () ->
@@ -386,6 +385,7 @@ let prepare ?(config = default_config) () =
     fir_n;
     activity_n;
     mc_k;
+    mc_all;
     scenarios_n;
     islands_k;
     variant_k;
@@ -412,11 +412,7 @@ let fir t = Sg.get t.fir_n
 let activity t = Sg.get t.activity_n
 let mc t position = Sg.get_keyed t.mc_k position
 
-let mc_all t =
-  Pool.map (Pool.shared ())
-    ~f:(fun p -> (p, Sg.get_keyed t.mc_k p))
-    (Array.of_list Position.named)
-  |> Array.to_list
+let mc_all t = t.mc_all ()
 
 let scenarios t = Sg.get t.scenarios_n
 let islands t direction = Sg.get_keyed t.islands_k direction

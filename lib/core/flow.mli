@@ -81,8 +81,10 @@ val mc : t -> Position.t -> Pvtol_ssta.Monte_carlo.result
 (** Monte-Carlo SSTA at a die position; memoized per position label. *)
 
 val mc_all : t -> (Position.t * Pvtol_ssta.Monte_carlo.result) list
-(** All named positions; uncached ones are evaluated as parallel tasks
-    on the shared domain pool (bit-identical to serial evaluation). *)
+(** All named positions.  The ones not yet memoized are computed
+    together by one {!Pvtol_ssta.Monte_carlo.run_many} (their chunks
+    fanned out on the shared domain pool) and memoized per position;
+    each result is bit-identical to {!mc} at that position. *)
 
 val scenarios : t -> Pvtol_ssta.Scenario.t list
 (** Violation scenarios at A, B, C, D. *)

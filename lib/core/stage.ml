@@ -52,7 +52,8 @@ let register g name =
 let stack_key : string list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-type 'a state = Pending | Running | Done of 'a | Failed of error
+(* [Running d]: domain [d] is computing the cell. *)
+type 'a state = Pending | Running of Domain.id | Done of 'a | Failed of error
 
 type 'a cell = {
   lock : Mutex.t;
@@ -63,64 +64,88 @@ type 'a cell = {
 let new_cell () =
   { lock = Mutex.create (); cond = Condition.create (); state = Pending }
 
+(* Store a finished computation in [cell], waking any domain waiting
+   on it. *)
+let set_cell cell st =
+  Mutex.lock cell.lock;
+  cell.state <- st;
+  Condition.broadcast cell.cond;
+  Mutex.unlock cell.lock
+
+(* Run [compute], a computation this domain has claimed, as the stage
+   [name]: traced, on the forcing chain, with any exception turned into
+   the stage's [Stage_error].  [finish] stores the outcome. *)
+let run_claimed g ~name ~deps ~finish compute =
+  let stack = Domain.DLS.get stack_key in
+  stack := name :: !stack;
+  let fail e =
+    stack := List.tl !stack;
+    finish (Error e);
+    raise (Stage_error e)
+  in
+  match Trace.span g.trace ~name ~deps compute with
+  | v ->
+    stack := List.tl !stack;
+    finish (Ok v);
+    v
+  | exception Stage_error e ->
+    (* Already attributed to the stage that actually failed. *)
+    fail e
+  | exception exn ->
+    fail { stage = name; chain = List.rev !stack; message = Printexc.to_string exn }
+
+(* Wait for a cell another force owns or has finished: its memoized
+   value or error.  Called with [cell.lock] held; [first] is false once
+   the wait has slept (a memo hit counts only if nothing was pending).
+   Re-entrant forcing from the same domain — also of an instance its
+   group computation claimed — is a dependency cycle. *)
+let rec await cell ~name ~first =
+  match cell.state with
+  | Done v ->
+    if first then Metrics.incr m_memo_hits;
+    Mutex.unlock cell.lock;
+    v
+  | Failed e ->
+    if first then Metrics.incr m_memo_hits;
+    Mutex.unlock cell.lock;
+    raise (Stage_error e)
+  | Running owner ->
+    (* Waiting on a cell this very domain is computing can never end:
+       the force re-entered its own computation. *)
+    if owner = Domain.self () then begin
+      let stack = Domain.DLS.get stack_key in
+      Mutex.unlock cell.lock;
+      let chain = List.rev (name :: !stack) in
+      raise (Stage_error { stage = name; chain; message = "dependency cycle" })
+    end;
+    Condition.wait cell.cond cell.lock;
+    await cell ~name ~first:false
+  | Pending -> assert false
+
+(* Claim [cell] if nobody has forced it yet: [true] if the caller must
+   now compute it. *)
+let claim cell =
+  Mutex.lock cell.lock;
+  let pending = match cell.state with Pending -> true | _ -> false in
+  if pending then begin
+    Metrics.incr m_computes;
+    cell.state <- Running (Domain.self ())
+  end;
+  Mutex.unlock cell.lock;
+  pending
+
 (* Force one cell: memoized value or error; computes at most once.  A
    concurrent forcing domain blocks until the computing domain stores a
-   result; re-entrant forcing from the same domain is a dependency
-   cycle. *)
+   result. *)
 let force_cell g cell ~name ~deps compute =
-  let rec await ~first =
-    match cell.state with
-    | Done v ->
-      if first then Metrics.incr m_memo_hits;
-      Mutex.unlock cell.lock;
-      v
-    | Failed e ->
-      if first then Metrics.incr m_memo_hits;
-      Mutex.unlock cell.lock;
-      raise (Stage_error e)
-    | Running ->
-      let stack = Domain.DLS.get stack_key in
-      if List.mem name !stack then begin
-        Mutex.unlock cell.lock;
-        let chain = List.rev (name :: !stack) in
-        raise (Stage_error { stage = name; chain; message = "dependency cycle" })
-      end;
-      Condition.wait cell.cond cell.lock;
-      await ~first:false
-    | Pending ->
-      Metrics.incr m_computes;
-      cell.state <- Running;
-      Mutex.unlock cell.lock;
-      let stack = Domain.DLS.get stack_key in
-      stack := name :: !stack;
-      let finish st =
-        stack := List.tl !stack;
-        Mutex.lock cell.lock;
-        cell.state <- st;
-        Condition.broadcast cell.cond;
-        Mutex.unlock cell.lock
-      in
-      (match Trace.span g.trace ~name ~deps compute with
-      | v ->
-        finish (Done v);
-        v
-      | exception Stage_error e ->
-        (* Already attributed to the stage that actually failed. *)
-        finish (Failed e);
-        raise (Stage_error e)
-      | exception exn ->
-        let e =
-          {
-            stage = name;
-            chain = List.rev !stack;
-            message = Printexc.to_string exn;
-          }
-        in
-        finish (Failed e);
-        raise (Stage_error e))
-  in
-  Mutex.lock cell.lock;
-  await ~first:true
+  if claim cell then
+    run_claimed g ~name ~deps compute ~finish:(function
+      | Ok v -> set_cell cell (Done v)
+      | Error e -> set_cell cell (Failed e))
+  else begin
+    Mutex.lock cell.lock;
+    await cell ~name ~first:true
+  end
 
 type 'a node = {
   graph : graph;
@@ -170,20 +195,78 @@ let keyed g ~name ?(deps = fun _ -> []) ~key_label compute =
 
 let instance_name k key = k.kname ^ "[" ^ k.key_label key ^ "]"
 
-let get_keyed k key =
-  let label = k.key_label key in
+(* The cells of [keys]' instances, with their labels, created as
+   needed. *)
+let cells_of k keys =
   Mutex.lock k.table_lock;
-  let cell =
-    match Hashtbl.find_opt k.table label with
-    | Some c -> c
-    | None ->
-      let c = new_cell () in
-      Hashtbl.add k.table label c;
-      c
+  let cells =
+    List.map
+      (fun key ->
+        let label = k.key_label key in
+        match Hashtbl.find_opt k.table label with
+        | Some c -> (key, label, c)
+        | None ->
+          let c = new_cell () in
+          Hashtbl.add k.table label c;
+          (key, label, c))
+      keys
   in
   Mutex.unlock k.table_lock;
+  cells
+
+let get_keyed k key =
+  let cell =
+    match cells_of k [ key ] with [ (_, _, c) ] -> c | _ -> assert false
+  in
   force_cell k.kgraph cell ~name:(instance_name k key) ~deps:(k.kdeps key)
     (fun () -> k.kcompute key)
+
+let get_keyed_many k keys ~compute =
+  let instances = cells_of k keys in
+  (* Claim every pending instance, each label once. *)
+  let claimed =
+    List.rev
+      (List.fold_left
+         (fun acc ((_, label, cell) as inst) ->
+           if (not (List.exists (fun (_, l, _) -> l = label) acc)) && claim cell
+           then inst :: acc
+           else acc)
+         [] instances)
+  in
+  let computed =
+    match claimed with
+    | [] -> []
+    | _ ->
+      let ckeys = List.map (fun (key, _, _) -> key) claimed in
+      let labels = List.map (fun (_, label, _) -> label) claimed in
+      let cells = List.map (fun (_, _, cell) -> cell) claimed in
+      let name = k.kname ^ "[" ^ String.concat "," labels ^ "]" in
+      let deps =
+        List.fold_left
+          (fun acc key ->
+            acc @ List.filter (fun d -> not (List.mem d acc)) (k.kdeps key))
+          [] ckeys
+      in
+      let compute () =
+        let vs = compute ckeys in
+        if List.compare_lengths vs cells <> 0 then
+          invalid_arg
+            "Stage: a group compute returned the wrong number of values";
+        vs
+      in
+      List.combine labels
+        (run_claimed k.kgraph ~name ~deps compute ~finish:(function
+          | Ok vs -> List.iter2 (fun cell v -> set_cell cell (Done v)) cells vs
+          | Error e -> List.iter (fun cell -> set_cell cell (Failed e)) cells))
+  in
+  List.map
+    (fun (key, label, cell) ->
+      match List.assoc_opt label computed with
+      | Some v -> v
+      | None ->
+        Mutex.lock cell.lock;
+        await cell ~name:(instance_name k key) ~first:true)
+    instances
 
 let result_keyed k key =
   match get_keyed k key with v -> Ok v | exception Stage_error e -> Error e

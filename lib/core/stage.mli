@@ -84,5 +84,20 @@ val keyed :
 val get_keyed : ('k, 'a) keyed -> 'k -> 'a
 val result_keyed : ('k, 'a) keyed -> 'k -> ('a, error) result
 
+val get_keyed_many :
+  ('k, 'a) keyed -> 'k list -> compute:('k list -> 'a list) -> 'a list
+(** [get_keyed_many k keys ~compute] forces several instances at once,
+    returning their values in [keys] order.  The instances nobody has
+    forced yet are claimed and computed together by {e one} call of
+    [compute] (given those keys, each label once, in first-occurrence
+    order; it must return one value per key, in that order), recorded
+    as one span named ["name[l1,l2,...]"] whose deps are the union of
+    the instances' deps.  Instances already computed are memo hits, and
+    instances another domain is computing are awaited, as with
+    {!get_keyed}.  If [compute] raises, every claimed instance fails
+    with the same error.  For work that is cheaper done jointly than
+    key by key — e.g. Monte-Carlo positions sharing their random
+    draws. *)
+
 val computed_keys : ('k, 'a) keyed -> string list
 (** Labels of the instances computed so far (sorted). *)

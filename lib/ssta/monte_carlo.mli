@@ -86,7 +86,32 @@ val run :
     and is likewise domain-count invariant; versus [Golden] its
     worst-slack samples differ only within the documented delay-scale
     fit bound.  Per-worker workspaces keep both inner loops free of
-    per-sample heap allocation. *)
+    per-sample heap allocation.  [run] is {!run_many} with one job. *)
+
+type job = Pvtol_variation.Position.t * (Netlist.cell_id -> float) option
+(** One analysis of a {!run_many}: a die position and a per-cell supply
+    map ([None] = the library's low supply everywhere). *)
+
+val run_many :
+  ?config:config ->
+  ?engine:engine ->
+  ?pool:Pvtol_util.Pool.t ->
+  sampler:Pvtol_variation.Sampler.t ->
+  sta:Pvtol_timing.Sta.t ->
+  placement:Pvtol_place.Placement.t ->
+  job list ->
+  result list
+(** Several analyses under one [config], one result per job in job
+    order, each bit-identical to the {!run} of that job alone.
+
+    Every job with the same seed draws the same random Lgate
+    components — the jobs use common random numbers by contract — so
+    each chunk's gaussians are drawn once and every job forms its own
+    Lgates (systematic field at its position plus the shared draw) and
+    supply scaling from them.  Each pool worker allocates one scratch
+    set (gaussian buffer, STA workspace, delay vector) and reuses it for
+    every chunk and every job, so memory does not grow with the number
+    of jobs beyond their result arrays.  {!run} is the one-job case. *)
 
 val stage_stats : result -> Stage.t -> stage_stats option
 

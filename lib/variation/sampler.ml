@@ -201,23 +201,40 @@ let batch t ~base ~systematic ~vdd =
   in
   { bt = t; b_base = base; b_systematic = systematic; b_vdd; b_poly; polys }
 
+(* Horner's rule for the degree-[poly_degree] polynomial at [u].  The
+   kernel below evaluates four of these chains interleaved; each lane's
+   operations are exactly these, in this order. *)
+let[@inline] horner mono u =
+  let acc = ref (Array.unsafe_get mono poly_degree) in
+  for j = poly_degree - 1 downto 0 do
+    acc := (!acc *. u) +. Array.unsafe_get mono j
+  done;
+  !acc
+
+(* Window test and scaled abscissa shared by [batch_scale] and the
+   kernel, so the two agree bit for bit. *)
+let[@inline] outside p lg = lg < p.p_lo || lg > p.p_hi
+let[@inline] abscissa ~mid ~inv_half lg = (lg -. mid) *. inv_half
+
 let batch_scale b i ~lgate_nm =
   let pi = b.b_poly.(i) in
   if pi < 0 then delay_scale b.bt ~lgate_nm ~vdd:b.b_vdd.(i)
   else begin
     let p = b.polys.(pi) in
-    if lgate_nm < p.p_lo || lgate_nm > p.p_hi then
-      delay_scale b.bt ~lgate_nm ~vdd:p.p_vdd
-    else begin
-      let u = ((2.0 *. lgate_nm) -. p.p_lo -. p.p_hi) /. (p.p_hi -. p.p_lo) in
-      let mono = p.mono in
-      let acc = ref mono.(poly_degree) in
-      for k = poly_degree - 1 downto 0 do
-        acc := (!acc *. u) +. mono.(k)
-      done;
-      !acc
-    end
+    if outside p lgate_nm then delay_scale b.bt ~lgate_nm ~vdd:p.p_vdd
+    else
+      let mid = (p.p_lo +. p.p_hi) /. 2.0 in
+      let inv_half = 2.0 /. (p.p_hi -. p.p_lo) in
+      horner p.mono (abscissa ~mid ~inv_half lgate_nm)
   end
+
+(* One lane of the batched kernel: polynomial inside the window, exact
+   outside. *)
+let scale_lane b p ~gauss ~n ~i ~sys ~base ~sigma ~mid ~inv_half ~out ~row k =
+  let lg = sys +. (sigma *. Array.unsafe_get gauss ((k * n) + i)) in
+  Array.unsafe_set out (row + k)
+    (if outside p lg then base *. delay_scale b.bt ~lgate_nm:lg ~vdd:p.p_vdd
+     else base *. horner p.mono (abscissa ~mid ~inv_half lg))
 
 let scale_delays_batch b ~gauss ~samples ~stride ~out =
   let n = Array.length b.b_base in
@@ -245,21 +262,49 @@ let scale_delays_batch b ~gauss ~samples ~stride ~out =
     else begin
       let p = Array.unsafe_get b.polys pi in
       let mono = p.mono in
-      let lo = p.p_lo and hi = p.p_hi in
-      let mid = (lo +. hi) /. 2.0 in
-      let inv_half = 2.0 /. (hi -. lo) in
-      for k = 0 to samples - 1 do
-        let lg = sys +. (sigma *. Array.unsafe_get gauss ((k * n) + i)) in
-        if lg < lo || lg > hi then
-          out.(row + k) <- base *. delay_scale b.bt ~lgate_nm:lg ~vdd:p.p_vdd
+      let mid = (p.p_lo +. p.p_hi) /. 2.0 in
+      let inv_half = 2.0 /. (p.p_hi -. p.p_lo) in
+      (* Four lanes at a time: four independent Horner chains
+         interleaved, so the multiply-add latency of one chain hides
+         behind the other three.  A quad with any lane outside the
+         window goes lane by lane; the tail of [samples mod 4] lanes
+         too. *)
+      let k = ref 0 in
+      while !k + 3 < samples do
+        let k0 = !k in
+        let lg0 = sys +. (sigma *. Array.unsafe_get gauss ((k0 * n) + i)) in
+        let lg1 = sys +. (sigma *. Array.unsafe_get gauss (((k0 + 1) * n) + i)) in
+        let lg2 = sys +. (sigma *. Array.unsafe_get gauss (((k0 + 2) * n) + i)) in
+        let lg3 = sys +. (sigma *. Array.unsafe_get gauss (((k0 + 3) * n) + i)) in
+        if outside p lg0 || outside p lg1 || outside p lg2 || outside p lg3
+        then
+          for q = k0 to k0 + 3 do
+            scale_lane b p ~gauss ~n ~i ~sys ~base ~sigma ~mid ~inv_half ~out
+              ~row q
+          done
         else begin
-          let u = (lg -. mid) *. inv_half in
-          let acc = ref (Array.unsafe_get mono poly_degree) in
+          let u0 = abscissa ~mid ~inv_half lg0 in
+          let u1 = abscissa ~mid ~inv_half lg1 in
+          let u2 = abscissa ~mid ~inv_half lg2 in
+          let u3 = abscissa ~mid ~inv_half lg3 in
+          let c = Array.unsafe_get mono poly_degree in
+          let a0 = ref c and a1 = ref c and a2 = ref c and a3 = ref c in
           for j = poly_degree - 1 downto 0 do
-            acc := (!acc *. u) +. Array.unsafe_get mono j
+            let c = Array.unsafe_get mono j in
+            a0 := (!a0 *. u0) +. c;
+            a1 := (!a1 *. u1) +. c;
+            a2 := (!a2 *. u2) +. c;
+            a3 := (!a3 *. u3) +. c
           done;
-          Array.unsafe_set out (row + k) (base *. !acc)
-        end
+          Array.unsafe_set out (row + k0) (base *. !a0);
+          Array.unsafe_set out (row + k0 + 1) (base *. !a1);
+          Array.unsafe_set out (row + k0 + 2) (base *. !a2);
+          Array.unsafe_set out (row + k0 + 3) (base *. !a3)
+        end;
+        k := k0 + 4
+      done;
+      for q = !k to samples - 1 do
+        scale_lane b p ~gauss ~n ~i ~sys ~base ~sigma ~mid ~inv_half ~out ~row q
       done
     end
   done

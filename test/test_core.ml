@@ -289,6 +289,47 @@ let test_no_recompute_downstream () =
   let after = List.length (Trace.spans (Flow.trace t)) in
   Alcotest.(check int) "zero stages recomputed" before after
 
+let test_mc_all_computes_only_missing () =
+  (* A fresh flow (fewer samples): after [mc A], [mc_all] computes B, C
+     and D together, in one span, and no position computes twice; each
+     result is the independent single-position run. *)
+  let module MC = Pvtol_ssta.Monte_carlo in
+  let t = Flow.prepare ~config:{ Flow.quick_config with Flow.mc_samples = 40 } () in
+  let a = Flow.mc t Position.point_a in
+  let all = Flow.mc_all t in
+  ignore (Flow.mc_all t);
+  ignore (Flow.mc t Position.point_c);
+  let mc_spans =
+    List.filter_map
+      (fun (s : Trace.span) ->
+        if String.length s.Trace.name > 3 && String.sub s.Trace.name 0 3 = "mc["
+        then Some s.Trace.name
+        else None)
+      (Trace.spans (Flow.trace t))
+  in
+  Alcotest.(check (list string)) "mc spans" [ "mc[A]"; "mc[B,C,D]" ] mc_spans;
+  Alcotest.(check (list string)) "no duplicates" [] (Trace.duplicates (Flow.trace t));
+  Alcotest.(check (list string)) "positions in order"
+    (List.map (fun (p : Position.t) -> p.Position.label) Position.named)
+    (List.map (fun ((p : Position.t), _) -> p.Position.label) all);
+  Alcotest.(check bool) "A is the memoized result" true (List.assq Position.point_a all == a);
+  List.iter
+    (fun ((p : Position.t), (r : MC.result)) ->
+      Alcotest.(check bool) (p.Position.label ^ " memoized") true (Flow.mc t p == r);
+      let alone =
+        MC.run
+          ~config:{ MC.samples = 40; seed = Flow.quick_config.Flow.mc_seed }
+          ~sampler:(Flow.sampler t) ~sta:(Flow.sta t)
+          ~placement:(Flow.placement t) ~position:p ()
+      in
+      Alcotest.(check bool) (p.Position.label ^ " = independent run") true
+        (alone.MC.worst_samples = r.MC.worst_samples
+        && List.for_all2
+             (fun (x : MC.stage_stats) (y : MC.stage_stats) ->
+               x.MC.samples = y.MC.samples)
+             alone.MC.stages r.MC.stages))
+    all
+
 (* --- experiments rendering --- *)
 
 let test_experiments_render () =
@@ -331,5 +372,7 @@ let suite =
       Alcotest.test_case "degradation bounded" `Quick test_degradation_bounded;
       Alcotest.test_case "stage fires at most once" `Quick test_stage_fires_once;
       Alcotest.test_case "no downstream recompute" `Quick test_no_recompute_downstream;
+      Alcotest.test_case "mc_all computes only missing positions" `Quick
+        test_mc_all_computes_only_missing;
       Alcotest.test_case "experiments render" `Quick test_experiments_render;
     ] )

@@ -161,6 +161,89 @@ let test_mc_batched_domain_invariance () =
               (crit r = crit r0)))
     [ 1; 2; 4 ]
 
+(* --- run_many --- *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Bindings in the table's own iteration order: equal lists mean equal
+   contents and the same insertion history. *)
+let crit_bindings (r : MC.result) =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) r.MC.endpoint_critical_count []
+
+let same_result (a : MC.result) (b : MC.result) =
+  a.MC.position = b.MC.position
+  && bits_equal a.MC.worst_samples b.MC.worst_samples
+  && List.equal
+       (fun (x : MC.stage_stats) (y : MC.stage_stats) ->
+         Stage.equal x.MC.stage y.MC.stage && bits_equal x.MC.samples y.MC.samples)
+       a.MC.stages b.MC.stages
+  && crit_bindings a = crit_bindings b
+
+let mc_positions =
+  [| Position.point_a; Position.point_b; Position.point_c; Position.point_d;
+     Position.at_xy ~x_frac:0.3 ~y_frac:0.7 () |]
+
+(* Supply maps a job may carry: the default low supply, chip-wide high,
+   and a per-cell mix. *)
+let vdd_maps () =
+  let _, nl, _, _, _ = Lazy.force env in
+  let p = nl.Netlist.lib.Pvtol_stdcell.Cell.process in
+  let high = p.Pvtol_stdcell.Process.vdd_high in
+  let low = p.Pvtol_stdcell.Process.vdd_low in
+  [| None; Some (fun _ -> high);
+     Some (fun cid -> if cid mod 3 = 0 then high else low) |]
+
+(* [run_many] against the [run] of each job alone ([samples >= 8], the
+   fewest the normality test accepts). *)
+let run_many_matches ~samples ~seed ~engine ~domains jobs =
+  let module Pool = Pvtol_util.Pool in
+  let _, _, p, sta, sampler = Lazy.force env in
+  let maps = vdd_maps () in
+  let jobs = List.map (fun (pi, vi) -> (mc_positions.(pi), maps.(vi))) jobs in
+  let pool = Pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let config = { MC.samples; seed } in
+      let many = MC.run_many ~config ~engine ~pool ~sampler ~sta ~placement:p jobs in
+      List.length many = List.length jobs
+      && List.for_all2
+           (fun (position, vdd) r ->
+             same_result r
+               (MC.run ~config ~engine ?vdd ~pool ~sampler ~sta ~placement:p
+                  ~position ()))
+           jobs many)
+
+let test_run_many_fixed () =
+  (* 70 samples: two whole chunks and a 6-sample tail, at four jobs that
+     differ in position and supply map, both engines, 1 and 2 domains. *)
+  List.iter
+    (fun (engine, name) ->
+      List.iter
+        (fun domains ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d domains" name domains)
+            true
+            (run_many_matches ~samples:70 ~seed:5 ~engine ~domains
+               [ (0, 0); (1, 2); (4, 1); (0, 1) ]))
+        [ 1; 2 ])
+    [ (MC.Golden, "golden"); (MC.Batched, "batched") ]
+
+let test_run_many_random =
+  QCheck.Test.make ~name:"run_many = independent runs" ~count:6
+    QCheck.(
+      quad (map (( + ) 8) (int_bound 64)) (int_bound 10_000) (pair bool bool)
+        (list_of_size Gen.(1 -- 4) (pair (int_bound 4) (int_bound 2))))
+    (fun (samples, seed, (batched, two), jobs) ->
+      run_many_matches ~samples ~seed
+        ~engine:(if batched then MC.Batched else MC.Golden)
+        ~domains:(if two then 2 else 1)
+        jobs)
+
 let test_mc_deterministic () =
   let a = run Position.point_a and b = run Position.point_a in
   List.iter2
@@ -427,6 +510,9 @@ let suite =
         test_mc_domain_invariance;
       Alcotest.test_case "mc batched domain-count invariance" `Quick
         test_mc_batched_domain_invariance;
+      Alcotest.test_case "mc run_many = runs (70 samples, 4 jobs)" `Quick
+        test_run_many_fixed;
+      QCheck_alcotest.to_alcotest test_run_many_random;
       Alcotest.test_case "mc seed sensitivity" `Quick test_mc_seed_changes_samples;
       Alcotest.test_case "mc stage coverage" `Quick test_mc_stage_coverage;
       Alcotest.test_case "mc position ordering" `Quick test_mc_position_ordering;

@@ -65,6 +65,67 @@ let test_keyed_isolation () =
   Alcotest.(check (list string)) "computed keys" [ "2"; "3" ] (Sg.computed_keys k);
   Alcotest.(check int) "span per key" 1 (Trace.count (Sg.trace g) "mc[2]")
 
+let test_keyed_many () =
+  let g = Sg.create () in
+  let calls = ref [] in
+  let sq keys =
+    calls := keys :: !calls;
+    List.map (fun key -> key * key) keys
+  in
+  let k =
+    Sg.keyed g ~name:"sq" ~key_label:string_of_int
+      ~deps:(fun key -> [ "base"; "in" ^ string_of_int (key mod 2) ])
+      (fun key -> List.hd (sq [ key ]))
+  in
+  Alcotest.(check int) "key 2 alone" 4 (Sg.get_keyed k 2);
+  (* Only the instances not yet forced are computed, together, each
+     label once. *)
+  Alcotest.(check (list int)) "values in key order" [ 1; 4; 9; 9 ]
+    (Sg.get_keyed_many k [ 1; 2; 3; 3 ] ~compute:sq);
+  Alcotest.(check (list (list int))) "one call per group" [ [ 1; 3 ]; [ 2 ] ] !calls;
+  Alcotest.(check int) "group span" 1 (Trace.count (Sg.trace g) "sq[1,3]");
+  (match Trace.find (Sg.trace g) "sq[1,3]" with
+  | Some s ->
+    Alcotest.(check (list string)) "union of deps" [ "base"; "in1" ] s.Trace.deps
+  | None -> Alcotest.fail "group span missing");
+  (* Memoized per key: nothing recomputes. *)
+  Alcotest.(check int) "key 3 memoized" 9 (Sg.get_keyed k 3);
+  Alcotest.(check (list int)) "all memoized" [ 1; 4; 9 ]
+    (Sg.get_keyed_many k [ 1; 2; 3 ] ~compute:sq);
+  Alcotest.(check int) "no further calls" 2 (List.length !calls);
+  Alcotest.(check (list string)) "computed keys" [ "1"; "2"; "3" ]
+    (Sg.computed_keys k);
+  Alcotest.(check (list string)) "no duplicates" [] (Trace.duplicates (Sg.trace g));
+  (* A failing group fails every claimed instance, once; a group that
+     returns the wrong number of values is an error too. *)
+  let runs = ref 0 in
+  let boom _ =
+    incr runs;
+    failwith "boom"
+  in
+  (match Sg.get_keyed_many k [ 4; 5 ] ~compute:boom with
+  | _ -> Alcotest.fail "expected failure"
+  | exception Sg.Stage_error e ->
+    Alcotest.(check string) "group named" "sq[4,5]" e.Sg.stage);
+  (match Sg.result_keyed k 5 with
+  | Ok _ -> Alcotest.fail "expected memoized failure"
+  | Error e -> Alcotest.(check string) "same error" "sq[4,5]" e.Sg.stage);
+  Alcotest.(check int) "failed group ran once" 1 !runs;
+  (match Sg.get_keyed_many k [ 6; 7 ] ~compute:(fun _ -> [ 0 ]) with
+  | _ -> Alcotest.fail "expected a length error"
+  | exception Sg.Stage_error e ->
+    Alcotest.(check bool) "length error" true
+      (contains ~sub:"wrong number" e.Sg.message));
+  (* A group that forces one of its own instances is a cycle, not a
+     deadlock. *)
+  match
+    Sg.get_keyed_many k [ 8; 9 ] ~compute:(fun keys ->
+        List.map (fun key -> Sg.get_keyed k key) keys)
+  with
+  | _ -> Alcotest.fail "expected a cycle"
+  | exception Sg.Stage_error e ->
+    Alcotest.(check string) "cycle" "dependency cycle" e.Sg.message
+
 (* --- tracing --- *)
 
 let test_trace_dependency_order () =
@@ -162,6 +223,7 @@ let suite =
       Alcotest.test_case "diamond shares base" `Quick test_dependent_nodes_share;
       Alcotest.test_case "duplicate name rejected" `Quick test_duplicate_name_rejected;
       Alcotest.test_case "keyed isolation" `Quick test_keyed_isolation;
+      Alcotest.test_case "keyed group force" `Quick test_keyed_many;
       Alcotest.test_case "trace dependency order" `Quick test_trace_dependency_order;
       Alcotest.test_case "trace json" `Quick test_trace_json;
       Alcotest.test_case "error names failing stage" `Quick test_error_names_failing_stage;

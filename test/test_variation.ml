@@ -123,6 +123,55 @@ let test_scale_delays_vectorized () =
         Alcotest.failf "cell %d: %h vs %h" i out.(i) expected)
     base
 
+(* The batched kernel, element by element, against [base *. batch_scale]
+   at the same Lgate: exact equality, so the four interleaved Horner
+   chains and the [samples mod 4] tail do each lane's arithmetic in the
+   scalar order.  Every lane count 1..33 (whole quads, every tail
+   length, and more lanes than a chunk); a mixed three-supply map and
+   one past [max_polys] distinct supplies (exact path); and quads with
+   one lane forced outside the fit window, which must go lane by lane
+   (that lane exact, its three neighbours on the polynomial). *)
+let test_scale_delays_batch_lanes () =
+  let sampler = Sampler.create () in
+  let n = 97 and stride = 36 in
+  let base = Array.init n (fun i -> 0.01 +. (0.003 *. float_of_int i)) in
+  let systematic = Array.init n (fun i -> 60.0 +. (0.05 *. float_of_int i)) in
+  let rng = Srng.create 11 in
+  let gauss = Array.make (stride * n) 0.0 in
+  Srng.fill_gaussians rng gauss ~pos:0 ~len:(stride * n);
+  (* Lane 1 of the first quad of cell 5 and lane 30 (in the last whole
+     quad of a 33-lane block) of cell 40: a 1000-sigma draw, far past
+     the 10-sigma window. *)
+  gauss.((1 * n) + 5) <- 1000.0;
+  gauss.((30 * n) + 40) <- -1000.0;
+  let sigma = sampler.Sampler.sigma_rnd_nm in
+  let check label vdd =
+    let b = Sampler.batch sampler ~base ~systematic ~vdd in
+    for samples = 1 to 33 do
+      let out = Array.make (n * stride) nan in
+      Sampler.scale_delays_batch b ~gauss ~samples ~stride ~out;
+      for i = 0 to n - 1 do
+        for k = 0 to samples - 1 do
+          let lgate_nm = systematic.(i) +. (sigma *. gauss.((k * n) + i)) in
+          let expected = base.(i) *. Sampler.batch_scale b i ~lgate_nm in
+          let got = out.((i * stride) + k) in
+          if Int64.bits_of_float got <> Int64.bits_of_float expected then
+            Alcotest.failf "%s: %d lanes, cell %d lane %d: %h vs %h" label
+              samples i k got expected
+        done
+      done
+    done
+  in
+  check "three supplies" (fun i -> [| 1.0; 1.2; 1.1 |].(i mod 3));
+  check "past max_polys" (fun i -> 1.0 +. (0.001 *. float_of_int (i mod 20)));
+  (* The forced lanes really took the exact path. *)
+  let b = Sampler.batch sampler ~base ~systematic ~vdd:(fun _ -> 1.0) in
+  let lgate_nm = systematic.(5) +. (sigma *. 1000.0) in
+  Alcotest.(check bool)
+    "outside lane is exact" true
+    (Sampler.batch_scale b 5 ~lgate_nm
+    = Sampler.delay_scale sampler ~lgate_nm ~vdd:1.0)
+
 (* [sample_lgates] against the per-call loop it replaced, on random
    lengths (odd and even), seeds and stream alignments (with and
    without a cached Box-Muller half pending): same Lgates bit for bit,
@@ -199,6 +248,8 @@ let suite =
       Alcotest.test_case "sampling moments" `Quick test_sampling_moments;
       Alcotest.test_case "delay scale consistency" `Quick test_delay_scale_consistency;
       Alcotest.test_case "scale_delays vectorized" `Quick test_scale_delays_vectorized;
+      Alcotest.test_case "scale_delays_batch = batch_scale, lane by lane" `Quick
+        test_scale_delays_batch_lanes;
       QCheck_alcotest.to_alcotest test_sample_lgates_bitwise;
       Alcotest.test_case "systematic_into" `Quick test_systematic_into;
       Alcotest.test_case "custom budget" `Quick test_custom_budget;
