@@ -169,14 +169,13 @@ let wafer_speedup r = r.wafer_parallel.t_mean /. r.wafer_serial.t_mean
 
 let wafer_throughput ~quick () =
   let t = context ~quick () in
-  let v = Flow.variant t Island.Vertical in
   let cfg =
     if quick then { Wafer.default_config with Wafer.nx = 6; ny = 6; dies_per_cell = 8 }
     else Wafer.default_config
   in
   let time_run ~pool () =
     let t0 = Unix.gettimeofday () in
-    let s = Wafer.run ~pool t v cfg in
+    let s = Wafer.run ~pool t cfg in
     let dt = Unix.gettimeofday () -. t0 in
     (float_of_int s.Wafer.dies /. dt, s)
   in

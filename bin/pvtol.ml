@@ -24,9 +24,21 @@ let quick =
   let doc = "Use the scaled-down design and sample counts (fast)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* An integer option that rejects values below [min] while parsing (exit
+   124 with a one-line usage message), before any flow stage runs. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s min))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
 let samples =
-  let doc = "Monte-Carlo sample count (default from the configuration)." in
-  Arg.(value & opt (some int) None & info [ "samples" ] ~doc)
+  let doc = "Monte-Carlo sample count, at least 8 (default from the configuration)." in
+  Arg.(value & opt (some (int_at_least 8)) None & info [ "samples" ] ~doc)
 
 let seed =
   let doc = "Random seed for the Monte-Carlo and stimulus streams." in
@@ -241,25 +253,28 @@ let grid_conv =
   let print fmt (nx, ny) = Format.fprintf fmt "%dx%d" nx ny in
   Arg.conv (parse, print)
 
-let wafer_cmd =
+(* The census options [wafer] and [compare] share: the grid, dies per
+   cell, field replicas, the per-die seed (under each command's own flag
+   name) and the slicing. *)
+let census_config ~seed_flag =
   let grid =
     let doc = "Die-position grid over the chip, columns x rows." in
     Arg.(value & opt grid_conv (8, 8) & info [ "grid" ] ~doc ~docv:"NxM")
   in
   let dies =
     let doc = "Dies simulated per grid cell (per exposure field)." in
-    Arg.(value & opt int 12 & info [ "dies" ] ~doc ~docv:"N")
+    Arg.(value & opt positive_int 12 & info [ "dies" ] ~doc ~docv:"N")
   in
   let fields =
     let doc =
       "Exposure-field replicas of the grid (same systematic map, fresh \
        random draws)."
     in
-    Arg.(value & opt int 1 & info [ "fields" ] ~doc ~docv:"N")
+    Arg.(value & opt positive_int 1 & info [ "fields" ] ~doc ~docv:"N")
   in
-  let wafer_seed =
+  let seed =
     let doc = "Seed of the per-die random Lgate draws." in
-    Arg.(value & opt int 7 & info [ "wafer-seed" ] ~doc ~docv:"SEED")
+    Arg.(value & opt int 7 & info [ seed_flag ] ~doc ~docv:"SEED")
   in
   let direction =
     let doc = "Island slicing deployed on every die: $(docv)." in
@@ -272,6 +287,12 @@ let wafer_cmd =
           Island.Vertical
       & info [ "direction" ] ~doc ~docv:"vertical|horizontal|quadrant")
   in
+  let make (nx, ny) dies_per_cell fields seed direction =
+    { Wafer.nx; ny; dies_per_cell; fields; seed; direction }
+  in
+  Term.(const make $ grid $ dies $ fields $ seed $ direction)
+
+let wafer_cmd =
   let json_file =
     let doc = "Also write the whole sweep (wafer + per-cell) as JSON." in
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
@@ -326,19 +347,19 @@ let wafer_cmd =
       "The rare scenario: a die with at least $(docv) islands violating \
        before compensation."
     in
-    Arg.(value & opt int 2 & info [ "rare-scenario" ] ~doc ~docv:"M")
+    Arg.(value & opt positive_int 2 & info [ "rare-scenario" ] ~doc ~docv:"M")
   in
   let strata =
     let doc = "Position strata per axis for the $(b,is)/$(b,lhs) samplers." in
-    Arg.(value & opt int 4 & info [ "strata" ] ~doc ~docv:"S")
+    Arg.(value & opt positive_int 4 & info [ "strata" ] ~doc ~docv:"S")
   in
   let rounds =
     let doc = "Maximum sampling rounds before giving up on the CI target." in
-    Arg.(value & opt int 64 & info [ "rounds" ] ~doc ~docv:"N")
+    Arg.(value & opt positive_int 64 & info [ "rounds" ] ~doc ~docv:"N")
   in
   let run quick samples seed trace trace_out metrics_out trace_chrome
-      run_ledger (nx, ny) dies_per_cell fields wafer_seed direction json_file
-      progress sampler ci_target ci_metric rare_scenario strata rounds =
+      run_ledger cfg json_file progress sampler ci_target ci_metric
+      rare_scenario strata rounds =
     with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
       ~trace_chrome ~run_ledger (fun ~ledger t ->
         Runinfo.add_config ledger "sampler"
@@ -353,14 +374,14 @@ let wafer_cmd =
             {
               Wafer.s_method;
               s_strata = strata;
-              s_dies_per_round = dies_per_cell;
+              s_dies_per_round = cfg.Wafer.dies_per_cell;
               s_max_rounds = rounds;
               s_ci_target = ci_target;
               s_ci_metric = ci_metric;
               s_rare = rare_scenario;
               s_confidence = 0.95;
-              s_seed = wafer_seed;
-              s_direction = direction;
+              s_seed = cfg.Wafer.seed;
+              s_direction = cfg.Wafer.direction;
             }
           in
           let on_round =
@@ -386,9 +407,6 @@ let wafer_cmd =
             write_report ledger ~file (Wafer.sampling_to_json r);
             Printf.printf "\nsampling report written to %s\n" file)
         | None ->
-        let cfg =
-          { Wafer.nx; ny; dies_per_cell; fields; seed = wafer_seed; direction }
-        in
         (* Cells complete on pool workers; one mutex keeps the \r
            status line whole.  ETA extrapolates the mean cell time. *)
         let on_cell =
@@ -435,9 +453,10 @@ let wafer_cmd =
           streaming statistics.")
     Term.(
       const run $ quick $ samples $ seed $ trace_flag $ trace_out
-      $ metrics_out $ trace_chrome $ run_ledger $ grid $ dies $ fields
-      $ wafer_seed $ direction $ json_file $ progress $ sampler $ ci_target
-      $ ci_metric $ rare_scenario $ strata $ rounds)
+      $ metrics_out $ trace_chrome $ run_ledger
+      $ census_config ~seed_flag:"wafer-seed"
+      $ json_file $ progress $ sampler $ ci_target $ ci_metric
+      $ rare_scenario $ strata $ rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Strategy comparison                                                  *)
@@ -479,55 +498,19 @@ let compare_cmd =
       & opt strategies_conv Compensation.all_choices
       & info [ "strategies" ] ~doc ~docv:"LIST")
   in
-  let grid =
-    let doc = "Die-position grid over the chip, columns x rows." in
-    Arg.(value & opt grid_conv (8, 8) & info [ "grid" ] ~doc ~docv:"NxM")
-  in
-  let dies =
-    let doc = "Dies simulated per grid cell (per exposure field)." in
-    Arg.(value & opt int 12 & info [ "dies" ] ~doc ~docv:"N")
-  in
-  let fields =
-    let doc =
-      "Exposure-field replicas of the grid (same systematic map, fresh \
-       random draws)."
-    in
-    Arg.(value & opt int 1 & info [ "fields" ] ~doc ~docv:"N")
-  in
-  let compare_seed =
-    let doc = "Seed of the per-die random Lgate draws." in
-    Arg.(value & opt int 7 & info [ "compare-seed" ] ~doc ~docv:"SEED")
-  in
-  let direction =
-    let doc = "Island slicing the vi strategy deploys: $(docv)." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("vertical", Island.Vertical); ("horizontal", Island.Horizontal);
-               ("quadrant", Island.Quadrant) ])
-          Island.Vertical
-      & info [ "direction" ] ~doc ~docv:"vertical|horizontal|quadrant")
-  in
   let json_file =
     let doc = "Also write the comparison report as JSON." in
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
   let run quick samples seed trace trace_out metrics_out trace_chrome
-      run_ledger strategies (nx, ny) dies_per_cell fields compare_seed
-      direction json_file =
+      run_ledger choices
+      { Wafer.nx; ny; dies_per_cell; fields; seed = cseed; direction }
+      json_file =
     with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
       ~trace_chrome ~run_ledger (fun ~ledger t ->
         let cfg =
-          {
-            Compare.nx;
-            ny;
-            dies_per_cell;
-            fields;
-            seed = compare_seed;
-            direction;
-            choices = strategies;
-          }
+          { Compare.nx; ny; dies_per_cell; fields; seed = cseed; direction;
+            choices }
         in
         let r = Compare.compare t cfg in
         emit_report ledger ~name:"compare" (Compare.render r);
@@ -547,8 +530,9 @@ let compare_cmd =
           overhead per strategy.")
     Term.(
       const run $ quick $ samples $ seed $ trace_flag $ trace_out
-      $ metrics_out $ trace_chrome $ run_ledger $ strategies $ grid $ dies
-      $ fields $ compare_seed $ direction $ json_file)
+      $ metrics_out $ trace_chrome $ run_ledger $ strategies
+      $ census_config ~seed_flag:"compare-seed"
+      $ json_file)
 
 (* ------------------------------------------------------------------ *)
 (* Design-file dumps                                                    *)

@@ -1,13 +1,9 @@
-(* Strategy comparison harness: the shared detect pass of
-   [Compensation], fanned out over the same wafer grid as [Wafer] (same
-   positions, same per-cell RNG seeds), with every selected strategy
-   applied to every die.  Row-major ordered reduction keeps reports
-   bit-identical for any domain count. *)
+(* Strategy comparison harness: the census of [Wafer] (same positions,
+   same per-cell RNG seeds, one shared detect pass per die) with every
+   selected strategy applied to every die, projected onto a yield /
+   power / area table. *)
 module Sg = Stage
-module Pool = Pvtol_util.Pool
-module Srng = Pvtol_util.Srng
-module Stream_stats = Pvtol_util.Stream_stats
-module Welford = Stream_stats.Welford
+module Welford = Pvtol_util.Stream_stats.Welford
 module Table = Pvtol_util.Table
 module Metrics = Pvtol_util.Metrics
 
@@ -34,20 +30,6 @@ let default_config =
     choices = Compensation.all_choices;
   }
 
-(* The grid geometry and seeding are Wafer's, by construction: convert
-   the config and call its helpers, so a die at (field, ix, iy, index)
-   sees the same systematic map and the same random draw in both
-   sweeps. *)
-let wafer_config cfg : Wafer.config =
-  {
-    Wafer.nx = cfg.nx;
-    ny = cfg.ny;
-    dies_per_cell = cfg.dies_per_cell;
-    fields = cfg.fields;
-    seed = cfg.seed;
-    direction = cfg.direction;
-  }
-
 type strategy_result = {
   name : string;
   title : string;
@@ -70,140 +52,40 @@ type report = {
   results : strategy_result list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Per-cell accumulators (one sub-accumulator per strategy)             *)
-
-type sacc = {
-  mutable s_meets : int;
-  mutable s_knob : int;
-  s_power : Welford.t;
-  s_knobs : Welford.t;
-  s_area : Welford.t;
-}
-
-type acc = {
-  mutable a_dies : int;
-  mutable a_unc : int;
-  a_strats : sacc array;
-}
-
-let acc_create n =
-  {
-    a_dies = 0;
-    a_unc = 0;
-    a_strats =
-      Array.init n (fun _ ->
-          {
-            s_meets = 0;
-            s_knob = 0;
-            s_power = Welford.create ();
-            s_knobs = Welford.create ();
-            s_area = Welford.create ();
-          });
-  }
-
-let sacc_add sa (o : Compensation.outcome) =
-  if o.Compensation.meets then sa.s_meets <- sa.s_meets + 1;
-  sa.s_knob <- sa.s_knob + o.Compensation.knob;
-  Welford.add sa.s_power o.Compensation.power_mw;
-  Welford.add sa.s_knobs (float_of_int o.Compensation.knob);
-  Welford.add sa.s_area o.Compensation.area_um2
-
-(* ------------------------------------------------------------------ *)
-(* The sweep                                                            *)
-
-let rec has_dup = function
-  | [] -> false
-  | c :: rest -> List.mem c rest || has_dup rest
-
-let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
-  if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
-  then invalid_arg "Compare.run: grid, dies and fields must be positive";
-  if cfg.choices = [] then invalid_arg "Compare.run: no strategies selected";
-  if has_dup cfg.choices then
-    invalid_arg "Compare.run: duplicate strategy selected";
-  if v.Flow.direction <> cfg.direction then
-    invalid_arg "Compare.run: variant direction does not match the config";
-  let ctx = Compensation.context t in
-  let strategies =
-    Array.of_list (List.map (Compensation.build t ctx v) cfg.choices)
+let run ?pool t ({ nx; ny; dies_per_cell; fields; seed; direction; choices }
+    as cfg) =
+  let c =
+    Wafer.census ?pool t
+      { Wafer.nx; ny; dies_per_cell; fields; seed; direction }
+      choices
   in
-  let n_strats = Array.length strategies in
-  let wcfg = wafer_config cfg in
-  let pool = match pool with Some p -> p | None -> Pool.shared () in
-  let total_cells = cfg.nx * cfg.ny in
-  (* One chunk per grid cell; each worker carries the shared detect
-     scratch plus one private apply state per strategy, reused across
-     every cell it picks up.  A cell's dies run serially field-major,
-     applying the strategies in request order on each die. *)
-  let accs =
-    Pool.parallel_chunks pool ~chunks:total_cells
-      ~init:(fun ~worker:_ ->
-        ( Compensation.scratch ctx,
-          Array.map (fun s -> s.Compensation.fresh_apply ()) strategies ))
-      ~f:(fun (sc, applies) c ->
-        let ix = c mod cfg.nx and iy = c / cfg.nx in
-        let systematic =
-          Compensation.systematic ctx (Wafer.cell_position wcfg ~ix ~iy)
-        in
-        let acc = acc_create n_strats in
-        for field = 0 to cfg.fields - 1 do
-          let rng = Srng.create (Wafer.cell_seed wcfg ~field ~ix ~iy) in
-          for _ = 1 to cfg.dies_per_cell do
-            let d = Compensation.detect ctx sc ~systematic rng in
-            acc.a_dies <- acc.a_dies + 1;
-            if d.Compensation.violating = 0 then acc.a_unc <- acc.a_unc + 1;
-            for i = 0 to n_strats - 1 do
-              sacc_add acc.a_strats.(i) (applies.(i) sc d)
-            done
-          done
-        done;
-        Metrics.add m_compare_dies acc.a_dies;
-        acc)
-  in
-  (* Ordered reduction (row-major): totals are bit-identical no matter
-     how the chunks were scheduled. *)
-  let total = acc_create n_strats in
-  Array.iter
-    (fun acc ->
-      total.a_dies <- total.a_dies + acc.a_dies;
-      total.a_unc <- total.a_unc + acc.a_unc;
-      Array.iteri
-        (fun i sa ->
-          let ta = total.a_strats.(i) in
-          ta.s_meets <- ta.s_meets + sa.s_meets;
-          ta.s_knob <- ta.s_knob + sa.s_knob;
-          Welford.merge ~into:ta.s_power sa.s_power;
-          Welford.merge ~into:ta.s_knobs sa.s_knobs;
-          Welford.merge ~into:ta.s_area sa.s_area)
-        acc.a_strats)
-    accs;
-  let dies = float_of_int total.a_dies in
+  let total = c.Wafer.c_total in
+  Metrics.add m_compare_dies total.Wafer.a_dies;
+  let dies = float_of_int total.Wafer.a_dies in
   let results =
     Array.to_list
-      (Array.mapi
-         (fun i (s : Compensation.strategy) ->
-           let sa = total.a_strats.(i) in
+      (Array.map2
+         (fun (s : Compensation.strategy) (ta : Wafer.tally) ->
            {
              name = s.Compensation.name;
              title = s.Compensation.title;
              knob_units = s.Compensation.knob_units;
-             yield = float_of_int sa.s_meets /. dies;
-             mean_power_mw = Welford.mean sa.s_power;
-             mean_knob = Welford.mean sa.s_knobs;
-             knob_total = sa.s_knob;
-             mean_area_um2 = Welford.mean sa.s_area;
+             yield = float_of_int ta.Wafer.t_meets /. dies;
+             mean_power_mw = Welford.mean ta.Wafer.t_power;
+             mean_knob = Welford.mean ta.Wafer.t_knob;
+             knob_total = ta.Wafer.t_knob_total;
+             mean_area_um2 = Welford.mean ta.Wafer.t_area;
              static_area_um2 = s.Compensation.static_area_um2;
              max_knob = s.Compensation.max_knob;
            })
-         strategies)
+         c.Wafer.c_strategies total.Wafer.a_tallies)
   in
   {
     config = cfg;
-    clock_ns = Compensation.clock ctx;
-    dies = total.a_dies;
-    yield_uncompensated = float_of_int total.a_unc /. dies;
-    power_baseline_mw = Compensation.power_baseline_mw ctx;
+    clock_ns = Compensation.clock c.Wafer.c_ctx;
+    dies = total.Wafer.a_dies;
+    yield_uncompensated = float_of_int total.Wafer.a_unc /. dies;
+    power_baseline_mw = Compensation.power_baseline_mw c.Wafer.c_ctx;
     results;
   }
 
@@ -216,34 +98,16 @@ let config_label cfg =
     (Island.direction_name cfg.direction)
     (Compensation.choices_label cfg.choices)
 
-(* One keyed stage family per flow handle, registered on its graph the
-   first time a comparison is requested (the family cannot be declared
-   in Flow itself: Compare sits above Flow in the module order). *)
-let families_mu = Mutex.create ()
-let families : (Sg.graph * (config, report) Sg.keyed) list ref = ref []
+(* Declared on the flow's own graph on first use, like Wafer's sweep
+   family. *)
+let family : (config, report) Sg.keyed Type.Id.t = Type.Id.make ()
 
-let family (t : Flow.t) : (config, report) Sg.keyed =
-  let g = Flow.graph t in
-  Mutex.lock families_mu;
-  let f =
-    match List.find_opt (fun (g', _) -> g' == g) !families with
-    | Some (_, f) -> f
-    | None ->
-      let f =
-        Sg.keyed g ~name:"compare"
-          ~deps:(fun cfg ->
-            [ "sta"; "placed"; "sampler"; "clock";
-              "shifters[" ^ Island.direction_name cfg.direction ^ "]" ])
-          ~key_label:config_label
-          (fun cfg -> run t (Flow.variant t cfg.direction) cfg)
-      in
-      families := (g, f) :: !families;
-      f
-  in
-  Mutex.unlock families_mu;
-  f
-
-let compare t cfg = Sg.get_keyed (family t) cfg
+let compare t cfg =
+  Sg.get_keyed ~compute:(run t)
+    (Sg.family (Flow.graph t) family ~name:"compare"
+       ~deps:(fun cfg -> Wafer.census_deps cfg.direction)
+       ~key_label:config_label)
+    cfg
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -288,9 +152,7 @@ let pp fmt r = Format.pp_print_string fmt (render r)
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                          *)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+let json_float = Pvtol_util.Json.float_9g
 
 let to_json r =
   let cfg = r.config in

@@ -2,19 +2,15 @@
     over a wafer grid.
 
     Every strategy of {!Compensation} is evaluated on the {e same} die
-    population: per die, one shared {!Compensation.detect} pass (one
-    RNG draw), then each selected strategy re-times that die with its
-    own knob.  The grid geometry and per-cell RNG seeding are exactly
-    {!Wafer}'s ([cell_position] / [cell_seed]), so the voltage-island
-    and chip-wide columns reproduce a [Wafer] sweep of the same
-    (grid, dies, fields, seed) bit-for-bit — pinned by the
-    differential tests — while the skew-tuning and tunable-buffer
-    rivals answer the question no single source paper does: how do the
-    competing knobs trade yield against power and area.
-
-    Parallelism: one pool chunk per grid cell, each worker carrying its
-    own scratch and per-strategy apply state, reduced in row-major
-    order — reports are bit-identical for every [PVTOL_DOMAINS]. *)
+    population: the report is a projection of {!Wafer.census} — per
+    die, one shared {!Compensation.detect} pass (one RNG draw), then
+    each selected strategy re-times that die with its own knob.  The
+    voltage-island and chip-wide columns therefore reproduce a [Wafer]
+    sweep of the same (grid, dies, fields, seed) bit-for-bit — pinned
+    by the differential tests — while the skew-tuning and
+    tunable-buffer rivals answer the question no single source paper
+    does: how do the competing knobs trade yield against power and
+    area.  Reports are bit-identical for every [PVTOL_DOMAINS]. *)
 
 type config = {
   nx : int;
@@ -52,11 +48,11 @@ type report = {
   results : strategy_result list;  (** one per choice, in request order *)
 }
 
-val run :
-  ?pool:Pvtol_util.Pool.t -> Flow.t -> Flow.variant -> config -> report
-(** Evaluate the selected strategies over the grid.  [Invalid_argument]
-    if the grid is empty, the choice list is empty or contains
-    duplicates, or the variant's direction does not match the config. *)
+val run : ?pool:Pvtol_util.Pool.t -> Flow.t -> config -> report
+(** Evaluate the selected strategies over the grid on the slicing
+    variant of [config.direction].  [Invalid_argument] (from
+    {!Wafer.census}) if the grid is empty or the choice list is empty
+    or contains duplicates. *)
 
 val compare : Flow.t -> config -> report
 (** Like {!run}, but memoized on the flow's stage graph as the keyed

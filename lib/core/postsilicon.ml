@@ -82,7 +82,6 @@ let scratch k =
   }
 
 let n_islands k = k.vi.Compensation.max_knob
-let clock k = Compensation.clock k.ctx
 let power_islands_mw k ~raised = k.power_of_raised.(raised)
 let power_chip_wide_mw k = Compensation.power_chip_wide_mw k.ctx
 let power_baseline_mw k = Compensation.power_baseline_mw k.ctx
@@ -93,7 +92,6 @@ let die_power_chip_wide_mw k d =
   else Compensation.power_chip_wide_mw k.ctx
 
 let systematic k position = Compensation.systematic k.ctx position
-let gaussians s = Compensation.gaussians s.sc
 
 let simulate_die k s ~systematic rng =
   (* Detect once (the die's only RNG consumption), then play both

@@ -13,19 +13,18 @@
       islands).
 
     The detect-and-compensate loop for ONE die is exposed as a reusable
-    {!kernel} + {!simulate_die} pair so population drivers — the
-    diagonal {!run} study below, and the wafer-scale 2D sweep of
-    {!Wafer} — share the exact same per-die physics.  A kernel is
+    {!kernel} + {!simulate_die} pair: the engine of the diagonal {!run}
+    study below, and the tests' per-die reference.  A kernel is
     immutable once built; each concurrent caller brings its own
     {!scratch}, so dies can be simulated from pool workers in
     parallel.
 
-    Since the strategy refactor the kernel is itself a thin shell over
-    {!Compensation}: detection and both compensation schemes are the
-    [Vi] and [Chipwide] strategies of that interface, applied in
-    sequence — which is how they stay bit-identical to the
-    {!Compare.run} columns racing them against the post-silicon
-    rivals (clock-skew tuning, tunable buffers).
+    The kernel is a thin shell over {!Compensation}: detection and both
+    compensation schemes are the [Vi] and [Chipwide] strategies of that
+    interface, applied in sequence — the same die step the wafer-scale
+    {!Wafer.census} runs (and {!Compare.run} with it, racing them
+    against the post-silicon rivals), which is how every population
+    driver stays bit-identical to this one.
 
     This is an extension beyond the paper's exhibits: it validates the
     closed detect-and-compensate loop the methodology is designed for. *)
@@ -93,16 +92,11 @@ val kernel :
 
 val scratch : kernel -> scratch
 val n_islands : kernel -> int
-val clock : kernel -> float
 
 val systematic : kernel -> Pvtol_variation.Position.t -> float array
 (** Per-cell systematic Lgate at a die position (any position — not
     just the A-D diagonal).  Deterministic; compute once per position
     and share across the dies simulated there. *)
-
-val gaussians : scratch -> float array
-(** The raw standard-normal draw behind the last {!simulate_die} on this
-    scratch ({!Compensation.gaussians}); valid until the next die. *)
 
 val simulate_die :
   kernel -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> die

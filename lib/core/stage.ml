@@ -27,15 +27,24 @@ let () =
     | Stage_error e -> Some (error_message e)
     | _ -> None)
 
+(* A typed entry of a graph's family table: the value stored under an
+   identifier has the identifier's type. *)
+type family = Family : 'a Type.Id.t * 'a -> family
+
+(* A graph owns its node names and the keyed families declared on it
+   by {!family}, so a family lives exactly as long as its graph. *)
 type graph = {
   trace : Trace.t;
   registry : Mutex.t;
   mutable names : string list;
+  families_lock : Mutex.t;
+  mutable families : family list;
 }
 
 let create ?trace () =
   let trace = match trace with Some t -> t | None -> Trace.create () in
-  { trace; registry = Mutex.create (); names = [] }
+  { trace; registry = Mutex.create (); names = [];
+    families_lock = Mutex.create (); families = [] }
 
 let trace g = g.trace
 
@@ -193,6 +202,27 @@ let keyed g ~name ?(deps = fun _ -> []) ~key_label compute =
     table_lock = Mutex.create ();
   }
 
+let family (type k a) g (id : (k, a) keyed Type.Id.t) ~name ~deps ~key_label
+    : (k, a) keyed =
+  let rec find : family list -> (k, a) keyed option = function
+    | [] -> None
+    | Family (id', k) :: rest -> (
+      match Type.Id.provably_equal id id' with
+      | Some Type.Equal -> Some k
+      | None -> find rest)
+  in
+  Mutex.protect g.families_lock (fun () ->
+      match find g.families with
+      | Some k -> k
+      | None ->
+        let k =
+          keyed g ~name ~deps ~key_label (fun _ ->
+              invalid_arg
+                (Printf.sprintf "Stage: family %S forced without ~compute" name))
+        in
+        g.families <- Family (id, k) :: g.families;
+        k)
+
 let instance_name k key = k.kname ^ "[" ^ k.key_label key ^ "]"
 
 (* The cells of [keys]' instances, with their labels, created as
@@ -214,12 +244,13 @@ let cells_of k keys =
   Mutex.unlock k.table_lock;
   cells
 
-let get_keyed k key =
+let get_keyed ?compute k key =
   let cell =
     match cells_of k [ key ] with [ (_, _, c) ] -> c | _ -> assert false
   in
+  let compute = Option.value compute ~default:k.kcompute in
   force_cell k.kgraph cell ~name:(instance_name k key) ~deps:(k.kdeps key)
-    (fun () -> k.kcompute key)
+    (fun () -> compute key)
 
 let get_keyed_many k keys ~compute =
   let instances = cells_of k keys in

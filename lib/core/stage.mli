@@ -81,7 +81,27 @@ val keyed :
     injective on the keys used.  The trace span for key [k] is named
     ["name[label k]"]. *)
 
-val get_keyed : ('k, 'a) keyed -> 'k -> 'a
+val family :
+  graph ->
+  ('k, 'a) keyed Type.Id.t ->
+  name:string ->
+  deps:('k -> string list) ->
+  key_label:('k -> string) ->
+  ('k, 'a) keyed
+(** [family g id ~name ~deps ~key_label] is [g]'s keyed family for [id],
+    declared like {!keyed} the first time [id] is looked up on [g] and
+    the same family on every later lookup ([name] must then be free on
+    [g]).  For families a module above the flow adds to it on demand:
+    the table lives in the graph, so a family is freed with its graph.
+    Such a family has no compute function of its own; force it with
+    [get_keyed ~compute] or {!get_keyed_many}. *)
+
+val get_keyed : ?compute:('k -> 'a) -> ('k, 'a) keyed -> 'k -> 'a
+(** Force the instance for a key.  [compute] (default: the family's
+    own) runs only if this force is the one that computes the instance,
+    so per-call context such as a progress callback reaches exactly
+    that computation. *)
+
 val result_keyed : ('k, 'a) keyed -> 'k -> ('a, error) result
 
 val get_keyed_many :

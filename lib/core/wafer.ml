@@ -1,8 +1,9 @@
-(* Wafer-scale yield engine: the per-die detect-and-compensate kernel of
-   [Postsilicon], swept over a 2D grid of die positions on the exposure
-   field (optionally replicated over several exposure fields), batched
-   on the shared domain pool and reduced with streaming statistics so
-   the sweep's memory is O(grid), not O(dies). *)
+(* Wafer-scale yield engine: one census driver runs the per-die
+   detect-and-compensate step of [Compensation] over a 2D grid of die
+   positions (optionally replicated over several exposure fields),
+   batched on the shared domain pool and reduced with streaming
+   statistics so its memory is O(grid), not O(dies).  The wafer sweep
+   and [Compare] project that census; the estimator shares its step. *)
 module Sg = Stage
 module Pool = Pvtol_util.Pool
 module Srng = Pvtol_util.Srng
@@ -22,6 +23,9 @@ let m_cells = Metrics.counter "wafer_cells_total"
 let m_wafer_dies = Metrics.counter "wafer_dies_total"
 let m_sampling_dies = Metrics.counter "wafer_sampling_dies_total"
 let m_callback_errors = Metrics.counter "wafer_callback_errors_total"
+(* Also bumped by [Postsilicon.simulate_die]. *)
+let m_island_dies = Metrics.counter "postsilicon_dies_total"
+let m_islands_raised = Metrics.counter "postsilicon_islands_raised_total"
 let callback_warned = Log.once ()
 
 (* A raising progress callback must not poison the sweep, whose result
@@ -99,107 +103,174 @@ let cell_seed cfg ~field ~ix ~iy =
   Monte_carlo.substream_seed cfg.seed [ field; iy; ix ]
 
 (* ------------------------------------------------------------------ *)
-(* Streaming per-cell accumulator                                       *)
+(* The die step                                                         *)
+
+(* Everything die-independent for a set of strategies on one slicing
+   variant.  Immutable; shared by every worker. *)
+type plan = {
+  ctx : Compensation.ctx;
+  strategies : Compensation.strategy array;
+  n_islands : int;
+}
+
+let plan t direction choices =
+  let v = Flow.variant t direction in
+  let ctx = Compensation.context t in
+  {
+    ctx;
+    strategies = Array.of_list (List.map (Compensation.build t ctx v) choices);
+    n_islands = Array.length v.Flow.slicing.Slicing.partition.Island.islands;
+  }
+
+(* One worker's mutable die state: the shared detect scratch plus one
+   private apply state per strategy, reused across every die the worker
+   simulates. *)
+type worker = {
+  sc : Compensation.scratch;
+  applies :
+    (Compensation.scratch -> Compensation.detect -> Compensation.outcome) array;
+  outcomes : Compensation.outcome array;
+}
+
+let worker p =
+  let sc = Compensation.scratch p.ctx in
+  let applies =
+    Array.map (fun s -> s.Compensation.fresh_apply ()) p.strategies
+  in
+  let none =
+    { Compensation.meets = false; knob = 0; power_mw = 0.0; area_um2 = 0.0 }
+  in
+  { sc; applies; outcomes = Array.make (Array.length applies) none }
+
+(* One die: the detect pass (the die's only RNG consumption), then every
+   strategy in plan order on the same Lgate realisation, each outcome
+   stored at its strategy's index. *)
+let die p w ~systematic rng =
+  let d = Compensation.detect p.ctx w.sc ~systematic rng in
+  for i = 0 to Array.length w.applies - 1 do
+    w.outcomes.(i) <- w.applies.(i) w.sc d
+  done;
+  d
+
+(* ------------------------------------------------------------------ *)
+(* The census: every die of the grid, one accumulator per cell          *)
+
+type tally = {
+  mutable t_meets : int;
+  mutable t_knob_total : int;
+  t_knob : Welford.t;
+  t_knobs : Counter.t;
+  t_power : Welford.t;
+  t_area : Welford.t;
+}
 
 type acc = {
   mutable a_dies : int;
   mutable a_unc : int;
-  mutable a_comp : int;
-  mutable a_chip : int;
-  a_raised : Welford.t;
-  a_pow_isl : Welford.t;
-  a_pow_chip : Welford.t;
   a_delay : Welford.t;
   a_p50 : P2.t;
   a_p90 : P2.t;
   a_scen : Counter.t;
-  a_raised_c : Counter.t;
+  a_tallies : tally array;
 }
 
-let acc_create ~n_islands =
+type census = {
+  c_ctx : Compensation.ctx;
+  c_strategies : Compensation.strategy array;
+  c_n_islands : int;
+  c_cells : acc array;
+  c_total : acc;
+}
+
+let acc_create p =
   {
     a_dies = 0;
     a_unc = 0;
-    a_comp = 0;
-    a_chip = 0;
-    a_raised = Welford.create ();
-    a_pow_isl = Welford.create ();
-    a_pow_chip = Welford.create ();
     a_delay = Welford.create ();
     a_p50 = P2.create 0.5;
     a_p90 = P2.create 0.9;
-    a_scen = Counter.create (n_islands + 1);
-    a_raised_c = Counter.create (n_islands + 1);
+    a_scen = Counter.create (p.n_islands + 1);
+    a_tallies =
+      Array.map
+        (fun (s : Compensation.strategy) ->
+          {
+            t_meets = 0;
+            t_knob_total = 0;
+            t_knob = Welford.create ();
+            t_knobs = Counter.create (s.Compensation.max_knob + 1);
+            t_power = Welford.create ();
+            t_area = Welford.create ();
+          })
+        p.strategies;
   }
 
-let acc_add k acc (d : Postsilicon.die) =
+let acc_add acc (d : Compensation.detect) outcomes =
+  let low = d.Compensation.worst_low_ns in
   acc.a_dies <- acc.a_dies + 1;
-  if d.Postsilicon.die_meets_uncompensated then acc.a_unc <- acc.a_unc + 1;
-  if d.Postsilicon.die_meets_compensated then acc.a_comp <- acc.a_comp + 1;
-  if d.Postsilicon.die_meets_chip_wide then acc.a_chip <- acc.a_chip + 1;
-  Welford.add acc.a_raised (float_of_int d.Postsilicon.die_raised);
-  Welford.add acc.a_pow_isl (Postsilicon.die_power_islands_mw k d);
-  Welford.add acc.a_pow_chip (Postsilicon.die_power_chip_wide_mw k d);
-  Welford.add acc.a_delay d.Postsilicon.die_worst_low_ns;
-  P2.add acc.a_p50 d.Postsilicon.die_worst_low_ns;
-  P2.add acc.a_p90 d.Postsilicon.die_worst_low_ns;
-  Counter.add acc.a_scen d.Postsilicon.die_detected;
-  Counter.add acc.a_raised_c d.Postsilicon.die_raised
+  if d.Compensation.violating = 0 then acc.a_unc <- acc.a_unc + 1;
+  Welford.add acc.a_delay low;
+  P2.add acc.a_p50 low;
+  P2.add acc.a_p90 low;
+  Counter.add acc.a_scen d.Compensation.violating;
+  for i = 0 to Array.length acc.a_tallies - 1 do
+    let t = acc.a_tallies.(i) and (o : Compensation.outcome) = outcomes.(i) in
+    if o.Compensation.meets then t.t_meets <- t.t_meets + 1;
+    t.t_knob_total <- t.t_knob_total + o.Compensation.knob;
+    Welford.add t.t_knob (float_of_int o.Compensation.knob);
+    Counter.add t.t_knobs o.Compensation.knob;
+    Welford.add t.t_power o.Compensation.power_mw;
+    Welford.add t.t_area o.Compensation.area_um2
+  done
 
-let cell_of_acc cfg ~ix ~iy acc =
-  let dies = float_of_int acc.a_dies in
-  {
-    ix;
-    iy;
-    x_frac = grid_frac cfg.nx ix;
-    y_frac = grid_frac cfg.ny iy;
-    dies = acc.a_dies;
-    yield_uncompensated = float_of_int acc.a_unc /. dies;
-    yield_compensated = float_of_int acc.a_comp /. dies;
-    yield_chip_wide = float_of_int acc.a_chip /. dies;
-    mean_raised = Welford.mean acc.a_raised;
-    scenario_counts = Counter.to_array acc.a_scen;
-    raised_counts = Counter.to_array acc.a_raised_c;
-    mean_power_islands_mw = Welford.mean acc.a_pow_isl;
-    mean_power_chip_wide_mw = Welford.mean acc.a_pow_chip;
-    delay = Welford.summary acc.a_delay;
-    delay_p50_ns = P2.estimate acc.a_p50;
-    delay_p90_ns = P2.estimate acc.a_p90;
-  }
+(* Everything but the quantile markers, which do not merge. *)
+let acc_merge ~into acc =
+  into.a_dies <- into.a_dies + acc.a_dies;
+  into.a_unc <- into.a_unc + acc.a_unc;
+  Welford.merge ~into:into.a_delay acc.a_delay;
+  Counter.merge ~into:into.a_scen acc.a_scen;
+  Array.iteri
+    (fun i t ->
+      let into = into.a_tallies.(i) in
+      into.t_meets <- into.t_meets + t.t_meets;
+      into.t_knob_total <- into.t_knob_total + t.t_knob_total;
+      Welford.merge ~into:into.t_knob t.t_knob;
+      Counter.merge ~into:into.t_knobs t.t_knobs;
+      Welford.merge ~into:into.t_power t.t_power;
+      Welford.merge ~into:into.t_area t.t_area)
+    acc.a_tallies
 
-(* ------------------------------------------------------------------ *)
-(* The sweep                                                            *)
+type on_cell = completed:int -> total:int -> unit
 
-let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
+let census ?pool ?on_cell (t : Flow.t) cfg choices =
   if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
-  then invalid_arg "Wafer.run: grid, dies and fields must be positive";
-  if v.Flow.direction <> cfg.direction then
-    invalid_arg "Wafer.run: variant direction does not match the config";
-  let k = Postsilicon.kernel t v in
-  let n_islands = Postsilicon.n_islands k in
+  then invalid_arg "Wafer.census: grid, dies and fields must be positive";
+  if choices = [] then invalid_arg "Wafer.census: no strategies selected";
+  if List.length (List.sort_uniq compare choices) < List.length choices then
+    invalid_arg "Wafer.census: duplicate strategy selected";
+  let p = plan t cfg.direction choices in
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   let total_cells = cfg.nx * cfg.ny in
   let completed = Atomic.make 0 in
-  (* One chunk per grid cell; a worker reuses its scratch across every
+  (* One chunk per grid cell; a worker reuses its die state across every
      cell it picks up.  All of a cell's dies (over every field replica)
      run serially inside its chunk in a fixed field-major order, so the
      per-cell accumulators — including the order-sensitive P^2 markers
      — are independent of scheduling. *)
-  let accs =
+  let cells =
     Pool.parallel_chunks pool ~chunks:total_cells
-      ~init:(fun ~worker:_ -> Postsilicon.scratch k)
-      ~f:(fun sc c ->
+      ~init:(fun ~worker:_ -> worker p)
+      ~f:(fun w c ->
         let ix = c mod cfg.nx and iy = c / cfg.nx in
-        let systematic = Postsilicon.systematic k (cell_position cfg ~ix ~iy) in
-        let acc = acc_create ~n_islands in
+        let systematic =
+          Compensation.systematic p.ctx (cell_position cfg ~ix ~iy)
+        in
+        let acc = acc_create p in
         for field = 0 to cfg.fields - 1 do
           let rng = Srng.create (cell_seed cfg ~field ~ix ~iy) in
           for _ = 1 to cfg.dies_per_cell do
-            acc_add k acc (Postsilicon.simulate_die k sc ~systematic rng)
+            acc_add acc (die p w ~systematic rng) w.outcomes
           done
         done;
-        Metrics.incr m_cells;
-        Metrics.add m_wafer_dies acc.a_dies;
         (* Progress callbacks fire from whichever domain finished the
            cell; the count is an Atomic so it is monotone across them. *)
         (match on_cell with
@@ -209,100 +280,97 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
           notify "on_cell" (fun () -> f ~completed:done_ ~total:total_cells));
         acc)
   in
-  (* Ordered reduction (row-major), so wafer totals are bit-identical
-     no matter how the chunks were scheduled. *)
-  let total = acc_create ~n_islands in
-  let delay_all = Welford.create () in
-  Array.iter
-    (fun acc ->
-      total.a_dies <- total.a_dies + acc.a_dies;
-      total.a_unc <- total.a_unc + acc.a_unc;
-      total.a_comp <- total.a_comp + acc.a_comp;
-      total.a_chip <- total.a_chip + acc.a_chip;
-      Welford.merge ~into:total.a_raised acc.a_raised;
-      Welford.merge ~into:total.a_pow_isl acc.a_pow_isl;
-      Welford.merge ~into:total.a_pow_chip acc.a_pow_chip;
-      Welford.merge ~into:delay_all acc.a_delay;
-      Counter.merge ~into:total.a_scen acc.a_scen)
-    accs;
+  (* Ordered reduction (row-major), so totals are bit-identical no
+     matter how the chunks were scheduled. *)
+  let total = acc_create p in
+  Array.iter (fun acc -> acc_merge ~into:total acc) cells;
+  {
+    c_ctx = p.ctx;
+    c_strategies = p.strategies;
+    c_n_islands = p.n_islands;
+    c_cells = cells;
+    c_total = total;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The wafer sweep: the census of the paper's two schemes               *)
+
+let run ?pool ?on_cell t cfg =
+  let c = census ?pool ?on_cell t cfg [ Compensation.Vi; Compensation.Chipwide ] in
+  let total = c.c_total in
+  let vi = total.a_tallies.(0) and cw = total.a_tallies.(1) in
+  Metrics.add m_cells (Array.length c.c_cells);
+  Metrics.add m_wafer_dies total.a_dies;
+  Metrics.add m_island_dies total.a_dies;
+  Metrics.add m_islands_raised vi.t_knob_total;
+  let yield_of acc n = float_of_int n /. float_of_int acc.a_dies in
   let cells =
     Array.mapi
-      (fun c acc -> cell_of_acc cfg ~ix:(c mod cfg.nx) ~iy:(c / cfg.nx) acc)
-      accs
+      (fun i acc ->
+        let ix = i mod cfg.nx and iy = i / cfg.nx in
+        let vi = acc.a_tallies.(0) and cw = acc.a_tallies.(1) in
+        {
+          ix;
+          iy;
+          x_frac = grid_frac cfg.nx ix;
+          y_frac = grid_frac cfg.ny iy;
+          dies = acc.a_dies;
+          yield_uncompensated = yield_of acc acc.a_unc;
+          yield_compensated = yield_of acc vi.t_meets;
+          yield_chip_wide = yield_of acc cw.t_meets;
+          mean_raised = Welford.mean vi.t_knob;
+          scenario_counts = Counter.to_array acc.a_scen;
+          raised_counts = Counter.to_array vi.t_knobs;
+          mean_power_islands_mw = Welford.mean vi.t_power;
+          mean_power_chip_wide_mw = Welford.mean cw.t_power;
+          delay = Welford.summary acc.a_delay;
+          delay_p50_ns = P2.estimate acc.a_p50;
+          delay_p90_ns = P2.estimate acc.a_p90;
+        })
+      c.c_cells
   in
-  let dies = float_of_int total.a_dies in
   {
     config = cfg;
-    n_islands;
-    clock_ns = Postsilicon.clock k;
+    n_islands = c.c_n_islands;
+    clock_ns = Compensation.clock c.c_ctx;
     cells;
     dies = total.a_dies;
-    yield_uncompensated = float_of_int total.a_unc /. dies;
-    yield_compensated = float_of_int total.a_comp /. dies;
-    yield_chip_wide = float_of_int total.a_chip /. dies;
-    mean_raised = Welford.mean total.a_raised;
+    yield_uncompensated = yield_of total total.a_unc;
+    yield_compensated = yield_of total vi.t_meets;
+    yield_chip_wide = yield_of total cw.t_meets;
+    mean_raised = Welford.mean vi.t_knob;
     scenario_counts = Counter.to_array total.a_scen;
-    mean_power_islands_mw = Welford.mean total.a_pow_isl;
-    mean_power_chip_wide_mw = Welford.mean total.a_pow_chip;
-    delay = Welford.summary delay_all;
+    mean_power_islands_mw = Welford.mean vi.t_power;
+    mean_power_chip_wide_mw = Welford.mean cw.t_power;
+    delay = Welford.summary total.a_delay;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Stage-graph exposure                                                 *)
+
+let census_deps direction =
+  [ "sta"; "placed"; "sampler"; "clock";
+    "shifters[" ^ Island.direction_name direction ^ "]" ]
 
 let config_label cfg =
   Printf.sprintf "%dx%d-d%d-f%d-s%d-%s" cfg.nx cfg.ny cfg.dies_per_cell
     cfg.fields cfg.seed
     (Island.direction_name cfg.direction)
 
-(* One keyed stage family per flow handle, registered on its graph the
-   first time a sweep is requested (the family cannot be declared in
-   Flow itself: Postsilicon sits above Flow in the module order).
-
-   Each family carries a progress-callback slot read by the compute
-   closure at compute time: {!sweep} installs its [?on_cell] around the
-   force.  A memoized re-force never computes, so progress only streams
-   the first time a (flow, config) sweep actually runs — which is the
-   only time there is progress to report. *)
-type on_cell = completed:int -> total:int -> unit
-
-let families_mu = Mutex.create ()
-
-let families :
-    (Sg.graph * ((config, sweep) Sg.keyed * on_cell option ref)) list ref =
-  ref []
-
-let family (t : Flow.t) : (config, sweep) Sg.keyed * on_cell option ref =
-  let g = Flow.graph t in
-  Mutex.lock families_mu;
-  let f =
-    match List.find_opt (fun (g', _) -> g' == g) !families with
-    | Some (_, f) -> f
-    | None ->
-      let cbref = ref None in
-      let f =
-        Sg.keyed g ~name:"wafer"
-          ~deps:(fun cfg ->
-            [ "sta"; "placed"; "sampler"; "clock";
-              "shifters[" ^ Island.direction_name cfg.direction ^ "]" ])
-          ~key_label:config_label
-          (fun cfg -> run ?on_cell:!cbref t (Flow.variant t cfg.direction) cfg)
-      in
-      families := (g, (f, cbref)) :: !families;
-      (f, cbref)
-  in
-  Mutex.unlock families_mu;
-  f
+(* The sweep family lives on the flow's own graph (it cannot be declared
+   in Flow itself: Wafer sits above Flow in the module order).  The
+   progress callback travels with the force that computes: a memoized
+   re-force never computes, so progress only streams the first time a
+   (flow, config) sweep actually runs — the only time there is progress
+   to report. *)
+let sweep_family : (config, sweep) Sg.keyed Type.Id.t = Type.Id.make ()
 
 let sweep ?on_cell t cfg =
-  let f, cbref = family t in
-  match on_cell with
-  | None -> Sg.get_keyed f cfg
-  | Some _ ->
-    cbref := on_cell;
-    Fun.protect
-      ~finally:(fun () -> cbref := None)
-      (fun () -> Sg.get_keyed f cfg)
+  Sg.get_keyed ~compute:(run ?on_cell t)
+    (Sg.family (Flow.graph t) sweep_family ~name:"wafer"
+       ~deps:(fun cfg -> census_deps cfg.direction)
+       ~key_label:config_label)
+    cfg
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -388,10 +456,7 @@ let pp fmt s =
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                          *)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+let json_float = Pvtol_util.Json.float_9g
 
 let json_int_array a =
   "[" ^ String.concat ", " (Array.to_list (Array.map string_of_int a)) ^ "]"
@@ -538,11 +603,14 @@ let n_sampling_metrics = 4
 
 let designated_metric = function Ci_yield -> 0 | Ci_rare -> 3
 
-let die_values ~rare (d : Postsilicon.die) out =
-  out.(0) <- (if d.Postsilicon.die_meets_uncompensated then 1.0 else 0.0);
-  out.(1) <- (if d.Postsilicon.die_meets_compensated then 1.0 else 0.0);
-  out.(2) <- (if d.Postsilicon.die_meets_chip_wide then 1.0 else 0.0);
-  out.(3) <- (if d.Postsilicon.die_violating >= rare then 1.0 else 0.0)
+let indicator b = if b then 1.0 else 0.0
+
+(* [outcomes] are the [Vi; Chipwide] applies of the die step. *)
+let die_values ~rare (d : Compensation.detect) outcomes out =
+  out.(0) <- indicator (d.Compensation.violating = 0);
+  out.(1) <- indicator outcomes.(0).Compensation.meets;
+  out.(2) <- indicator outcomes.(1).Compensation.meets;
+  out.(3) <- indicator (d.Compensation.violating >= rare)
 
 type gacc = {
   ga_metrics : Welford.t array;
@@ -559,22 +627,22 @@ let gacc_create () =
 
 type site_mode = Wafer_field | Fixed_site of Position.t
 
-let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
+let run_sampling ?pool ?on_round (t : Flow.t) ~mode scfg =
   if scfg.s_strata <= 0 || scfg.s_dies_per_round <= 0 || scfg.s_max_rounds <= 0
   then
     invalid_arg "Wafer.estimate: strata, dies and rounds must be positive";
   if not (scfg.s_ci_target > 0.0) then
     invalid_arg "Wafer.estimate: ci target must be positive";
   if scfg.s_rare <= 0 then invalid_arg "Wafer.estimate: rare must be positive";
-  if v.Flow.direction <> scfg.s_direction then
-    invalid_arg "Wafer.estimate: variant direction does not match the config";
-  let k = Postsilicon.kernel t v in
+  let p =
+    plan t scfg.s_direction [ Compensation.Vi; Compensation.Chipwide ]
+  in
   let sampler = Flow.sampler t in
   let placement = Flow.placement t in
   let sta = Flow.sta t in
   let nl = Flow.netlist t in
   let n = Pvtol_netlist.Netlist.cell_count nl in
-  let clock = Postsilicon.clock k in
+  let clock = Compensation.clock p.ctx in
   let low =
     nl.Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
       .Pvtol_stdcell.Process.vdd_low
@@ -603,7 +671,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
      tilt is a z-space object, so the within-stratum position jitter
      does not disturb its exactness.  mc / lhs sample untilted. *)
   let model_at pos =
-    let systematic = Postsilicon.systematic k pos in
+    let systematic = Compensation.systematic p.ctx pos in
     Smart_sampling.make
       (Smart_sampling.tilts ~sampler ~sta ~base ~systematic ~vdd:low ~clock
          ~stages:Compensation.analyzed ~rare:scfg.s_rare ())
@@ -640,10 +708,8 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
     let round_accs =
       Pool.parallel_chunks pool ~chunks:groups
         ~init:(fun ~worker:_ ->
-          ( Postsilicon.scratch k,
-            Array.make n 0.0,
-            Array.make n_sampling_metrics 0.0 ))
-        ~f:(fun (sc, sysbuf, vbuf) g ->
+          (worker p, Array.make n 0.0, Array.make n_sampling_metrics 0.0))
+        ~f:(fun (ws, sysbuf, vbuf) g ->
           let gx = g mod s and gy = g / s in
           let model = models.(g) in
           let rng =
@@ -651,6 +717,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
               (Monte_carlo.substream_seed scfg.s_seed [ round; gy; gx ])
           in
           let acc = gacc_create () in
+          let raised = ref 0 in
           (* Per-die stream layout is fixed per method: lhs prefixes
              the round with its two axis permutations, is prefixes each
              die with its component pick, and every die consumes two
@@ -691,10 +758,10 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
                 Position.at_xy ~x_frac:fx ~y_frac:fy ()
             in
             (* The tilt is realised as a shifted systematic field
-               through the unchanged kernel; the kernel keeps the raw
-               gaussians it drew, and the balance-heuristic weight is a
-               function of (component, draw) alone, so it is priced on
-               them once the die is done. *)
+               through the unchanged die step; the detect scratch keeps
+               the raw gaussians it drew, and the balance-heuristic
+               weight is a function of (component, draw) alone, so it is
+               priced on them once the die is done. *)
             Sampler.systematic_into sampler placement pos ~out:sysbuf;
             (match Smart_sampling.shift model ~comp with
              | Either.Right () -> ()
@@ -702,11 +769,13 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
                Sampler.shifted_systematic sampler ~systematic:sysbuf
                  ~cells:tilt.Smart_sampling.cells ~dir:tilt.Smart_sampling.dir
                  ~theta:tilt.Smart_sampling.theta ~out:sysbuf);
-            let d = Postsilicon.simulate_die k sc ~systematic:sysbuf rng in
+            let d = die p ws ~systematic:sysbuf rng in
             let w =
-              Smart_sampling.weight model ~comp ~z:(Postsilicon.gaussians sc)
+              Smart_sampling.weight model ~comp
+                ~z:(Compensation.gaussians ws.sc)
             in
-            die_values ~rare:scfg.s_rare d vbuf;
+            die_values ~rare:scfg.s_rare d ws.outcomes vbuf;
+            raised := !raised + ws.outcomes.(0).Compensation.knob;
             for m = 0 to n_sampling_metrics - 1 do
               Welford.add acc.ga_metrics.(m) (w *. vbuf.(m))
             done;
@@ -714,6 +783,8 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
             acc.ga_dies <- acc.ga_dies + 1
           done;
           Metrics.add m_sampling_dies acc.ga_dies;
+          Metrics.add m_island_dies acc.ga_dies;
+          Metrics.add m_islands_raised !raised;
           acc)
     in
     Array.iteri
@@ -786,59 +857,21 @@ let sampling_config_label c =
 
 type on_round = round:int -> max_rounds:int -> ci_halfwidth:float -> unit
 
-let sampling_families_mu = Mutex.create ()
-
-let sampling_families :
-    (Sg.graph
-    * ((sampling_config, sampling_report) Sg.keyed * on_round option ref))
-    list
-    ref =
-  ref []
-
-let sampling_family (t : Flow.t) :
-    (sampling_config, sampling_report) Sg.keyed * on_round option ref =
-  let g = Flow.graph t in
-  Mutex.lock sampling_families_mu;
-  let f =
-    match List.find_opt (fun (g', _) -> g' == g) !sampling_families with
-    | Some (_, f) -> f
-    | None ->
-      let cbref = ref None in
-      let f =
-        Sg.keyed g ~name:"sampling"
-          ~deps:(fun cfg ->
-            [ "sta"; "placed"; "sampler"; "clock";
-              "shifters[" ^ Island.direction_name cfg.s_direction ^ "]" ])
-          ~key_label:sampling_config_label
-          (fun cfg ->
-            run_sampling ?on_round:!cbref t
-              (Flow.variant t cfg.s_direction)
-              ~mode:Wafer_field cfg)
-      in
-      sampling_families := (g, (f, cbref)) :: !sampling_families;
-      (f, cbref)
-  in
-  Mutex.unlock sampling_families_mu;
-  f
-
 let estimate_run ?pool ?on_round t cfg =
-  run_sampling ?pool ?on_round t (Flow.variant t cfg.s_direction)
-    ~mode:Wafer_field cfg
+  run_sampling ?pool ?on_round t ~mode:Wafer_field cfg
+
+let sampling_family : (sampling_config, sampling_report) Sg.keyed Type.Id.t =
+  Type.Id.make ()
 
 let estimate ?on_round t cfg =
-  let f, cbref = sampling_family t in
-  match on_round with
-  | None -> Sg.get_keyed f cfg
-  | Some _ ->
-    cbref := on_round;
-    Fun.protect
-      ~finally:(fun () -> cbref := None)
-      (fun () -> Sg.get_keyed f cfg)
+  Sg.get_keyed ~compute:(estimate_run ?on_round t)
+    (Sg.family (Flow.graph t) sampling_family ~name:"sampling"
+       ~deps:(fun cfg -> census_deps cfg.s_direction)
+       ~key_label:sampling_config_label)
+    cfg
 
 let estimate_at ?pool ?on_round t ~position cfg =
-  run_sampling ?pool ?on_round t
-    (Flow.variant t cfg.s_direction)
-    ~mode:(Fixed_site position) cfg
+  run_sampling ?pool ?on_round t ~mode:(Fixed_site position) cfg
 
 (* ------------------------------------------------------------------ *)
 (* Sampling report rendering                                            *)

@@ -3,13 +3,18 @@
     The diagonal {!Postsilicon.run} study samples dies on the A-D line
     only, but the systematic Lgate map of §4.2 is a full 2D polynomial
     over the exposure field — population yield is a wafer-level
-    quantity.  This module sweeps a configurable [nx x ny] grid of die
-    positions over the chip (optionally replicated across several
-    exposure fields of a wafer), runs the {!Postsilicon.simulate_die}
-    detect-and-compensate kernel for a batch of dies at every grid
-    point, and reduces each cell with streaming statistics
+    quantity.  This module's {!census} sweeps a configurable [nx x ny]
+    grid of die positions over the chip (optionally replicated across
+    several exposure fields of a wafer), runs the die step — one shared
+    {!Compensation.detect} pass, then each selected strategy on the same
+    Lgate realisation — for a batch of dies at every grid point, and
+    reduces each cell with streaming statistics
     ({!Pvtol_util.Stream_stats}: Welford moments, P-square quantiles,
-    scenario counters) — a 10k-die sweep retains no per-die data.
+    scenario and knob counters) — a 10k-die sweep retains no per-die
+    data.  The wafer {!sweep} is the census of the paper's two schemes
+    (voltage islands and chip-wide adaptation); {!Compare} is the census
+    of any strategy list; the sampling {!estimate} runs the same die
+    step at sampled positions.
 
     Determinism: each grid cell's RNG stream is derived from
     [(seed, field, ix, iy)] only, cells are reduced in row-major order,
@@ -77,21 +82,75 @@ val cell_seed : config -> field:int -> ix:int -> iy:int -> int
 (** The RNG seed of one cell's die stream.  Exposed so tests can
     recompute any cell independently of the sweep. *)
 
-val run :
-  ?pool:Pvtol_util.Pool.t ->
-  ?on_cell:(completed:int -> total:int -> unit) ->
-  Flow.t -> Flow.variant -> config -> sweep
-(** Run the sweep on [pool] (default: the shared pool), one pool chunk
-    per grid cell.  Results are bit-identical for every pool size.
-    [on_cell] fires after each grid cell completes, from whichever
+(** {2 The census} *)
+
+type on_cell = completed:int -> total:int -> unit
+(** Progress: called after each grid cell completes, from whichever
     domain finished it, with a monotone completed count.  An exception
     it raises does not stop the sweep or change its result: it is
     counted in [wafer_callback_errors_total] and logged once per process
-    through {!Pvtol_util.Log.warn_once}.  [Invalid_argument] if the grid
-    is empty or the variant's direction does not match the config. *)
+    through {!Pvtol_util.Log.warn_once}. *)
 
-val sweep :
-  ?on_cell:(completed:int -> total:int -> unit) -> Flow.t -> config -> sweep
+(** One strategy's outcomes over a set of dies: dies meeting timing,
+    knob total, knob / power (mW) / exercised area (um2) per die, and
+    dies per knob setting. *)
+type tally = private {
+  mutable t_meets : int;
+  mutable t_knob_total : int;
+  t_knob : Pvtol_util.Stream_stats.Welford.t;
+  t_knobs : Pvtol_util.Stream_stats.Counter.t;
+  t_power : Pvtol_util.Stream_stats.Welford.t;
+  t_area : Pvtol_util.Stream_stats.Welford.t;
+}
+
+(** A set of dies: count, dies passing with no knob, worst low-Vdd
+    stage delay (moments and P-square median / P90), dies per detected
+    scenario, and one {!tally} per strategy in request order. *)
+type acc = private {
+  mutable a_dies : int;
+  mutable a_unc : int;
+  a_delay : Pvtol_util.Stream_stats.Welford.t;
+  a_p50 : Pvtol_util.Stream_stats.P2.t;
+  a_p90 : Pvtol_util.Stream_stats.P2.t;
+  a_scen : Pvtol_util.Stream_stats.Counter.t;
+  a_tallies : tally array;
+}
+
+type census = private {
+  c_ctx : Compensation.ctx;
+  c_strategies : Compensation.strategy array;  (** in request order *)
+  c_n_islands : int;
+  c_cells : acc array;   (** row-major: [c_cells.(iy * nx + ix)] *)
+  c_total : acc;         (** the cells merged in row-major order; its
+                             quantile markers are unused *)
+}
+
+val census :
+  ?pool:Pvtol_util.Pool.t ->
+  ?on_cell:on_cell ->
+  Flow.t ->
+  config ->
+  Compensation.choice list ->
+  census
+(** Run the die step for every die of the grid on [pool] (default: the
+    shared pool), one pool chunk per grid cell, with the strategies
+    built on the slicing variant of [config.direction].  Results are
+    bit-identical for every pool size.  [Invalid_argument] if the grid,
+    dies or fields are not positive, or the strategy list is empty or
+    holds a duplicate. *)
+
+val census_deps : Island.direction -> string list
+(** The flow stages a census on that slicing reads: the declared deps
+    of the [wafer], [compare] and [sampling] stage families. *)
+
+(** {2 The wafer sweep} *)
+
+val run :
+  ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> Flow.t -> config -> sweep
+(** The {!census} of [Vi; Chipwide], projected onto the sweep
+    record. *)
+
+val sweep : ?on_cell:on_cell -> Flow.t -> config -> sweep
 (** Like {!run}, but memoized on the flow's stage graph as the keyed
     stage [wafer[<nx>x<ny>-d<dies>-f<fields>-s<seed>-<dir>]] — traced
     and computed at most once per (flow, config), like every other
@@ -100,7 +159,7 @@ val sweep :
 
 (** {2 Variance-reduced sampling estimator}
 
-    {!run} is a census: a fixed die budget at fixed grid positions.
+    {!census} fixes the die budget and the grid positions.
     The estimator below instead samples die positions over the exposure
     field — the estimand is the {e continuous} wafer mean — with a
     choice of {!Pvtol_ssta.Smart_sampling.method_}:
@@ -118,7 +177,8 @@ val sweep :
     all-constant sample is evidence of starvation, not certainty.
     Every stratum round is an independent RNG substream keyed by
     [(seed, round, stratum)], rounds are merged in stratum order, and
-    the per-die kernel is engine-exact — so a report is bit-identical
+    the per-die step (the census's, with [Vi; Chipwide]) is
+    engine-exact — so a report is bit-identical
     across [PVTOL_DOMAINS] and both [PVTOL_MC_ENGINE] values. *)
 
 type ci_metric =

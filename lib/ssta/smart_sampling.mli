@@ -18,7 +18,7 @@
       [sigma * theta * u] is folded into the systematic Lgate field
       ({!Pvtol_variation.Sampler.shifted_systematic}), the die kernel
       draws its raw gaussians exactly as for an untilted die and keeps
-      them ({!Pvtol_core.Postsilicon.gaussians}), and the likelihood
+      them ({!Pvtol_core.Compensation.gaussians}), and the likelihood
       ratio — a function of the component and the raw draw alone, not
       of the die's outcome — is priced on that draw after the die is
       simulated.  Nothing is drawn twice, and both MC engines consume

@@ -16,7 +16,9 @@ let fit_normal xs =
    expected count under the fitted normal is below 5. *)
 let chi2_gof ?(confidence = 0.95) ?bins:nbins xs normal =
   let n = Array.length xs in
-  assert (n >= 8);
+  if n < 8 then
+    invalid_arg
+      (Printf.sprintf "Fit.chi2_gof: %d samples, the test needs at least 8" n);
   let h = Histo.of_samples ?bins:nbins xs in
   let nb = Histo.bins h in
   let expected_of_bin i =

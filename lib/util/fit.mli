@@ -20,6 +20,7 @@ val fit_normal : float array -> normal
 val chi2_gof : ?confidence:float -> ?bins:int -> float array -> normal -> gof
 (** Pearson test of the sample against the fitted normal.  Bins with
     expected count below 5 are merged into their neighbours, as is
-    standard practice.  Default confidence 0.95. *)
+    standard practice.  Default confidence 0.95.  [Invalid_argument]
+    for fewer than 8 samples. *)
 
 val fit_and_test : ?confidence:float -> float array -> normal * gof

@@ -37,6 +37,10 @@ let float_repr f =
     if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
     else Printf.sprintf "%.12g" f
 
+let float_9g f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.9g" f
+
 let to_string v =
   let buf = Buffer.create 1024 in
   let pad n = Buffer.add_string buf (String.make n ' ') in

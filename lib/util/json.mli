@@ -31,6 +31,12 @@ val of_string : string -> (t, string) result
     fit in an OCaml [int] parse as {!Int}, everything else as
     {!Float}. *)
 
+val float_9g : float -> string
+(** The number format of the hand-built report writers (wafer, compare,
+    sampling and metrics reports, whose bytes are pinned): an integral
+    value below 1e15 as [%.1f], anything else as [%.9g].  Unlike
+    {!to_string} it does not reject non-finite values. *)
+
 val write_file : string -> t -> unit
 val read_file : string -> (t, string) result
 (** [Error] for unreadable files as well as parse failures. *)

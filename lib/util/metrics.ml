@@ -238,9 +238,7 @@ let snapshot () =
                } ))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+let json_float = Json.float_9g
 
 let to_json (snap : snapshot) =
   let buf = Buffer.create 1024 in

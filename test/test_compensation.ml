@@ -70,14 +70,14 @@ let test_compare_matches_wafer () =
 let test_compare_matches_wafer_domains () =
   (* Same differential at 1, 2 and 4 domains: both sweeps are ordered
      row-major reductions, so every pool size gives the same report. *)
-  let t, v = Lazy.force env in
+  let t, _ = Lazy.force env in
   let with_pool domains f =
     let p = Pool.create ~domains () in
     Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
   in
   let r1 =
     with_pool 1 (fun p ->
-        Compare.run ~pool:p t v
+        Compare.run ~pool:p t
           (compare_cfg [ Compensation.Vi; Compensation.Chipwide ]))
   in
   let w = Wafer.sweep t wafer_cfg in
@@ -86,10 +86,10 @@ let test_compare_matches_wafer_domains () =
   List.iter
     (fun domains ->
       let r =
-        with_pool domains (fun p -> Compare.run ~pool:p t v (compare_cfg Compensation.all_choices))
+        with_pool domains (fun p -> Compare.run ~pool:p t (compare_cfg Compensation.all_choices))
       in
       let r' =
-        with_pool 1 (fun p -> Compare.run ~pool:p t v (compare_cfg Compensation.all_choices))
+        with_pool 1 (fun p -> Compare.run ~pool:p t (compare_cfg Compensation.all_choices))
       in
       Alcotest.(check bool)
         (Printf.sprintf "full report identical with %d domains" domains)
@@ -100,15 +100,15 @@ let test_strategy_isolation () =
   (* Strategies consume no RNG and share no mutable state: a strategy's
      column is identical whether it runs alone, with every rival, or in
      any order. *)
-  let t, v = Lazy.force env in
-  let full = Compare.run t v (compare_cfg Compensation.all_choices) in
+  let t, _ = Lazy.force env in
+  let full = Compare.run t (compare_cfg Compensation.all_choices) in
   let reversed =
-    Compare.run t v
+    Compare.run t
       (compare_cfg
          [ Compensation.Buffers; Compensation.Skew; Compensation.Chipwide;
            Compensation.Vi ])
   in
-  let alone c = Compare.run t v (compare_cfg [ c ]) in
+  let alone c = Compare.run t (compare_cfg [ c ]) in
   List.iter
     (fun choice ->
       let name = Compensation.choice_name choice in
@@ -542,10 +542,10 @@ let test_compare_memoized () =
   Alcotest.(check bool) "different key, different report" true (r3 != r1)
 
 let test_compare_validation () =
-  let t, v = Lazy.force env in
+  let t, _ = Lazy.force env in
   let expect_invalid what cfg =
     try
-      ignore (Compare.run t v cfg);
+      ignore (Compare.run t cfg);
       Alcotest.failf "%s: expected Invalid_argument" what
     with Invalid_argument _ -> ()
   in
@@ -553,10 +553,7 @@ let test_compare_validation () =
     { (compare_cfg Compensation.all_choices) with Compare.nx = 0 };
   expect_invalid "no strategies" (compare_cfg []);
   expect_invalid "duplicate strategy"
-    (compare_cfg [ Compensation.Vi; Compensation.Vi ]);
-  expect_invalid "direction mismatch"
-    { (compare_cfg Compensation.all_choices) with
-      Compare.direction = Island.Horizontal }
+    (compare_cfg [ Compensation.Vi; Compensation.Vi ])
 
 let test_choice_names_roundtrip () =
   List.iter
@@ -605,6 +602,98 @@ let test_report_shapes () =
         (count_sub json (Printf.sprintf "\"name\": \"%s\"" s.Compare.name)))
     r.Compare.results
 
+(* Pinned reports: digests of the quick-design census on the 3x2 grid,
+   as [pvtol wafer] and [pvtol compare] print them.  The differential
+   tests above compare sweeps with each other; these catch any change
+   to the report bytes themselves. *)
+let test_pinned_census_reports () =
+  let t, _ = Lazy.force env in
+  let s = Wafer.sweep t wafer_cfg in
+  let r = Compare.compare t (compare_cfg Compensation.all_choices) in
+  List.iter
+    (fun (what, expected, text) ->
+      Alcotest.(check string) (what ^ " digest") expected
+        (Digest.to_hex (Digest.string text)))
+    [ ("wafer json", "2169aba9c956ada93375659f2afc1f4d", Wafer.to_json s);
+      ( "wafer text",
+        "312df65cb71bedacd5bcdb4c69cf3905",
+        Format.asprintf "%a@.%s\n%s\n%s" Wafer.pp s
+          (Wafer.render_map s Wafer.Yield_uncompensated)
+          (Wafer.render_map s Wafer.Yield_compensated)
+          (Wafer.render_map s Wafer.Mean_raised) );
+      ("compare json", "ce29ea2d19f930324a80d55e2c73462d", Compare.to_json r);
+      ("compare text", "b7203890ba99faeee10594c69ffa0b53", Compare.render r) ]
+
+(* --- families on the flow's graph --- *)
+
+let test_families_freed_with_flow () =
+  (* The wafer, sampling and compare families live on the flow's own
+     stage graph: once the flow is dropped, nothing else keeps its
+     graph reachable. *)
+  let graph = Weak.create 1 in
+  let sweep_fresh_flow () =
+    let t = Flow.prepare ~config:Flow.quick_config () in
+    let cfg = { wafer_cfg with Wafer.nx = 1; ny = 1; dies_per_cell = 1 } in
+    ignore (Wafer.sweep t cfg);
+    ignore
+      (Wafer.estimate t
+         {
+           Wafer.default_sampling_config with
+           Wafer.s_strata = 1;
+           s_dies_per_round = 2;
+           s_max_rounds = 1;
+         });
+    ignore
+      (Compare.compare t
+         { (compare_cfg [ Compensation.Vi ]) with Compare.nx = 1; ny = 1 });
+    Weak.set graph 0 (Some (Flow.graph t))
+  in
+  sweep_fresh_flow ();
+  Gc.full_major ();
+  Alcotest.(check bool) "graph collected with its flow" false
+    (Weak.check graph 0)
+
+let test_progress_per_call () =
+  (* Two domains sweep two configs of one flow at the same time, each
+     with its own callback: each callback hears only its own sweep. *)
+  let t, _ = Lazy.force env in
+  let configs =
+    [| { wafer_cfg with Wafer.nx = 2; ny = 2; dies_per_cell = 1; seed = 101 };
+       { wafer_cfg with Wafer.nx = 3; ny = 1; dies_per_cell = 2; seed = 102 } |]
+  in
+  let started = Atomic.make 0 in
+  let sweep_with cfg =
+    let cells = cfg.Wafer.nx * cfg.Wafer.ny in
+    let calls = Atomic.make 0 and strangers = Atomic.make 0 in
+    (* Start both sweeps together (bounded wait: a lone domain goes on). *)
+    Atomic.incr started;
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get started < 2 && Unix.gettimeofday () -. t0 < 5.0 do
+      Domain.cpu_relax ()
+    done;
+    ignore
+      (Wafer.sweep t cfg ~on_cell:(fun ~completed:_ ~total ->
+           Atomic.incr calls;
+           if total <> cells then Atomic.incr strangers));
+    (cells, Atomic.get calls, Atomic.get strangers)
+  in
+  (* Pool tasks, not bare domains: the sweeps' own fan-outs then run
+     serially inside them instead of sharing the shared pool. *)
+  let p = Pool.create ~domains:2 () in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown p)
+      (fun () ->
+        Pool.parallel_chunks p ~chunks:2
+          ~init:(fun ~worker:_ -> ())
+          ~f:(fun () i -> sweep_with configs.(i)))
+  in
+  Array.iter
+    (fun (cells, calls, strangers) ->
+      Alcotest.(check int) "one call per own cell" cells calls;
+      Alcotest.(check int) "no other sweep's total" 0 strangers)
+    results
+
 let suite =
   ( "compensation",
     [
@@ -631,4 +720,10 @@ let suite =
         test_choice_names_roundtrip;
       Alcotest.test_case "report shapes (render, json)" `Quick
         test_report_shapes;
+      Alcotest.test_case "pinned wafer/compare reports" `Quick
+        test_pinned_census_reports;
+      Alcotest.test_case "families freed with their flow" `Quick
+        test_families_freed_with_flow;
+      Alcotest.test_case "progress callbacks per call" `Quick
+        test_progress_per_call;
     ] )

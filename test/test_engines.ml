@@ -103,12 +103,12 @@ let test_postsilicon_engines () =
 let test_wafer_engines () =
   (* A whole sweep through the env-var plumbing: every cell (yields,
      scenario histograms, power, delay summaries) bit-identical. *)
-  let t, v = Lazy.force flow_env in
+  let t, _ = Lazy.force flow_env in
   let cfg =
     { Wafer.default_config with Wafer.nx = 3; ny = 3; dies_per_cell = 4 }
   in
   let sweep name =
-    Engine_diff.with_engine_env name (fun () -> Wafer.run t v cfg)
+    Engine_diff.with_engine_env name (fun () -> Wafer.run t cfg)
   in
   let g = sweep "golden" and b = sweep "batched" in
   Alcotest.(check bool) "cells bit-identical" true (g.Wafer.cells = b.Wafer.cells);
@@ -120,7 +120,7 @@ let test_compare_engines () =
      STA (exact) and the skew/buffer strategies run full passes on
      private workspaces either way, so whole reports — every strategy's
      yield, power, knob and area columns — are bit-identical. *)
-  let t, v = Lazy.force flow_env in
+  let t, _ = Lazy.force flow_env in
   let cfg =
     {
       Compare.nx = 3;
@@ -133,7 +133,7 @@ let test_compare_engines () =
     }
   in
   let report name =
-    Engine_diff.with_engine_env name (fun () -> Compare.run t v cfg)
+    Engine_diff.with_engine_env name (fun () -> Compare.run t cfg)
   in
   let g = report "golden" and b = report "batched" in
   Alcotest.(check bool) "strategy results bit-identical" true

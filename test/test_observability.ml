@@ -314,6 +314,21 @@ let test_compare_cli_exit_codes () =
   Sys.remove base;
   Sys.remove next
 
+(* Non-positive counts (and too few Monte-Carlo samples) are usage
+   errors: rejected while parsing, exit 124, before any stage runs. *)
+let test_cli_rejects_bad_counts () =
+  List.iter
+    (fun args ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > /dev/null 2>&1" (Filename.quote pvtol_exe)
+             args)
+      in
+      Alcotest.(check int) args 124 rc)
+    [ "wafer --quick --dies 0"; "compare --quick --fields 0";
+      "wafer --quick --sampler is --strata 0"; "wafer --quick --rounds -1";
+      "wafer --quick --rare-scenario 0"; "scenarios --quick --samples 4" ]
+
 let suite =
   ( "observability",
     [
@@ -339,4 +354,6 @@ let suite =
         test_compare_schema1_fallback;
       Alcotest.test_case "compare: cli exit codes" `Slow
         test_compare_cli_exit_codes;
+      Alcotest.test_case "cli rejects invalid counts" `Quick
+        test_cli_rejects_bad_counts;
     ] )

@@ -212,10 +212,10 @@ let test_wafer_cell_independence () =
 let test_wafer_domain_invariance () =
   (* Bit-identical sweeps for every pool size (the CI runs the whole
      suite under PVTOL_DOMAINS=2 as well). *)
-  let t, v = Lazy.force env in
+  let t, _ = Lazy.force env in
   let run_with domains =
     let p = Pool.create ~domains () in
-    let s = Wafer.run ~pool:p t v wafer_cfg in
+    let s = Wafer.run ~pool:p t wafer_cfg in
     Pool.shutdown p;
     s
   in
@@ -277,33 +277,31 @@ let test_wafer_memoized () =
 let test_wafer_flat_memory () =
   (* Streaming statistics: the retained sweep grows with the grid, not
      with the die population. *)
-  let t, v = Lazy.force env in
+  let t, _ = Lazy.force env in
   let sweep_words dies_per_cell =
     let cfg = { wafer_cfg with Wafer.dies_per_cell } in
-    Obj.reachable_words (Obj.repr (Wafer.run t v cfg))
+    Obj.reachable_words (Obj.repr (Wafer.run t cfg))
   in
   Alcotest.(check int) "10x dies, same retained size" (sweep_words 4)
     (sweep_words 40)
 
 let test_wafer_validation () =
-  let t, v = Lazy.force env in
+  let t, _ = Lazy.force env in
   let expect_invalid what cfg =
     try
-      ignore (Wafer.run t v cfg);
+      ignore (Wafer.run t cfg);
       Alcotest.failf "%s: expected Invalid_argument" what
     with Invalid_argument _ -> ()
   in
   expect_invalid "empty grid" { wafer_cfg with Wafer.nx = 0 };
-  expect_invalid "no dies" { wafer_cfg with Wafer.dies_per_cell = 0 };
-  expect_invalid "direction mismatch"
-    { wafer_cfg with Wafer.direction = Island.Horizontal }
+  expect_invalid "no dies" { wafer_cfg with Wafer.dies_per_cell = 0 }
 
 let test_wafer_callback_errors () =
   (* A raising progress callback neither stops a sweep nor changes its
      result: each raise is counted in wafer_callback_errors_total. *)
   let module Metrics = Pvtol_util.Metrics in
   let module Log = Pvtol_util.Log in
-  let t, v = Lazy.force env in
+  let t, _ = Lazy.force env in
   let errors = Metrics.counter "wafer_callback_errors_total" in
   Metrics.set_enabled true;
   Log.set_sink (fun _ _ -> ());
@@ -313,9 +311,9 @@ let test_wafer_callback_errors () =
       Log.set_sink Log.default_sink)
     (fun () ->
       let before = Metrics.counter_value errors in
-      let s = Wafer.run t v wafer_cfg in
+      let s = Wafer.run t wafer_cfg in
       let s' =
-        Wafer.run ~on_cell:(fun ~completed:_ ~total:_ -> failwith "boom") t v
+        Wafer.run ~on_cell:(fun ~completed:_ ~total:_ -> failwith "boom") t
           wafer_cfg
       in
       Alcotest.(check bool) "same sweep with a raising on_cell" true (s = s');

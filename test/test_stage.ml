@@ -198,6 +198,43 @@ let test_cycle_detected () =
     Alcotest.(check bool) "says cycle" true
       (contains ~sub:"cycle" e.Sg.message)
 
+(* --- per-graph families --- *)
+
+let squares : (int, int) Sg.keyed Type.Id.t = Type.Id.make ()
+
+let test_family_per_graph () =
+  let family g =
+    Sg.family g squares ~name:"sq" ~deps:(fun _ -> [])
+      ~key_label:string_of_int
+  in
+  let g1 = Sg.create () and g2 = Sg.create () in
+  let runs = ref 0 in
+  let square k =
+    incr runs;
+    k * k
+  in
+  Alcotest.(check int) "computed" 9 (Sg.get_keyed ~compute:square (family g1) 3);
+  (* The second lookup on [g1] finds the same family: a memo hit, even
+     with a compute that would disagree. *)
+  Alcotest.(check int) "memoized" 9
+    (Sg.get_keyed ~compute:(fun _ -> -1) (family g1) 3);
+  Alcotest.(check int) "computed once" 1 !runs;
+  (* Another graph has its own family and its own memo. *)
+  Alcotest.(check int) "other graph" 16
+    (Sg.get_keyed ~compute:(fun k -> k + 13) (family g2) 3);
+  Alcotest.(check (list string)) "g1 keys" [ "3" ] (Sg.computed_keys (family g1));
+  Alcotest.(check int) "one span per graph" 1 (Trace.count (Sg.trace g2) "sq[3]");
+  (* No compute of its own: forcing without one is a stage error, and
+     the family's name is taken on its graph. *)
+  (match Sg.result_keyed (family g1) 4 with
+  | Ok _ -> Alcotest.fail "forced without compute"
+  | Error e ->
+    Alcotest.(check bool) "names the family" true
+      (contains ~sub:"without ~compute" e.Sg.message));
+  match Sg.node g2 ~name:"sq" (fun () -> 0) with
+  | _ -> Alcotest.fail "family name reused"
+  | exception Invalid_argument _ -> ()
+
 (* --- concurrency --- *)
 
 let test_concurrent_force_computes_once () =
@@ -224,6 +261,8 @@ let suite =
       Alcotest.test_case "duplicate name rejected" `Quick test_duplicate_name_rejected;
       Alcotest.test_case "keyed isolation" `Quick test_keyed_isolation;
       Alcotest.test_case "keyed group force" `Quick test_keyed_many;
+      Alcotest.test_case "families live on their graph" `Quick
+        test_family_per_graph;
       Alcotest.test_case "trace dependency order" `Quick test_trace_dependency_order;
       Alcotest.test_case "trace json" `Quick test_trace_json;
       Alcotest.test_case "error names failing stage" `Quick test_error_names_failing_stage;

@@ -147,7 +147,7 @@ let test_compensation_counters () =
   in
   let skew_flops = Metrics.counter "skew_tuned_flops_total" in
   let buffers_inserted = Metrics.counter "buffers_inserted_total" in
-  let t, v = Lazy.force Test_extensions.env in
+  let t, _ = Lazy.force Test_extensions.env in
   let cfg =
     { Compare.default_config with Compare.nx = 2; ny = 2; dies_per_cell = 3 }
   in
@@ -157,7 +157,7 @@ let test_compensation_counters () =
       Metrics.counter_value buffers_inserted )
   in
   let before, sf0, bi0 = snapshot () in
-  let r = with_metrics_enabled (fun () -> Compare.run t v cfg) in
+  let r = with_metrics_enabled (fun () -> Compare.run t cfg) in
   let result name =
     List.find (fun s -> s.Compare.name = name) r.Compare.results
   in
@@ -191,7 +191,7 @@ let test_compensation_counters () =
      counter untouched, and raw updates on these handles ride the
      zero-allocation fast path like any other counter. *)
   let enabled = snapshot () in
-  ignore (Compare.run t v cfg);
+  ignore (Compare.run t cfg);
   Alcotest.(check bool) "disabled sweep leaves counters untouched" true
     (snapshot () = enabled);
   let n = 100_000 in

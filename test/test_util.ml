@@ -277,6 +277,14 @@ let test_fit_uniform_rejected () =
   let _, gof = Fit.fit_and_test xs in
   Alcotest.(check bool) "uniform sample rejected as normal" false gof.Fit.accepted
 
+let test_fit_too_few_samples () =
+  let xs = Array.init 7 float_of_int in
+  match Fit.fit_and_test xs with
+  | _ -> Alcotest.fail "7 samples accepted"
+  | exception Invalid_argument m ->
+    Alcotest.(check bool) "names the minimum" true
+      (String.ends_with ~suffix:"at least 8" m)
+
 (* --- Histo --- *)
 
 let test_histo_counts () =
@@ -471,6 +479,7 @@ let suite =
       Alcotest.test_case "gamma identities" `Quick test_gamma_identities;
       Alcotest.test_case "fit gaussian accepted" `Quick test_fit_gaussian_accepted;
       Alcotest.test_case "fit uniform rejected" `Quick test_fit_uniform_rejected;
+      Alcotest.test_case "fit needs 8 samples" `Quick test_fit_too_few_samples;
       Alcotest.test_case "histo counts" `Quick test_histo_counts;
       Alcotest.test_case "histo density" `Quick test_histo_density_integrates_to_one;
       Alcotest.test_case "geom basics" `Quick test_geom_basics;
